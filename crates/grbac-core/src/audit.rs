@@ -2,20 +2,20 @@
 //!
 //! Security-sensitive homes need an account of who was granted what and
 //! when (§3's "data theft" concern cuts both ways — the household also
-//! wants to review access). The log is a fixed-capacity ring buffer so a
-//! chatty sensor network cannot exhaust memory.
+//! wants to review access). The log keeps its records in a bounded
+//! [`Ring`] so a chatty sensor network cannot exhaust memory.
 //!
 //! Review tooling filters the log with [`AuditFilter`] (shared with the
 //! richer [`provenance`](crate::provenance) forensics engine) and
 //! exports it as JSON lines via [`AuditLog::write_jsonl`].
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 use crate::degraded::DegradedReason;
 use crate::id::{DecisionId, ObjectId, RuleId, SubjectId, TransactionId};
+use crate::ring::Ring;
 use crate::rule::Effect;
 
 /// One mediated request.
@@ -175,17 +175,16 @@ impl AuditFilter {
 }
 
 /// Bounded, append-only log of [`AuditRecord`]s.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serialized as `{"records", "capacity", "next_seq", "permits",
+/// "denies", "evictions"}`; `evictions` (the ring's dropped count)
+/// defaults to 0 when loading logs written before the counter existed.
+#[derive(Debug, Clone)]
 pub struct AuditLog {
-    records: VecDeque<AuditRecord>,
-    capacity: usize,
+    records: Ring<AuditRecord>,
     next_seq: u64,
     permits: u64,
     denies: u64,
-    /// Records dropped by the ring buffer (defaults to 0 when loading
-    /// logs serialized before the counter existed).
-    #[serde(default)]
-    evictions: u64,
 }
 
 impl AuditLog {
@@ -198,12 +197,10 @@ impl AuditLog {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            records: VecDeque::with_capacity(capacity.min(Self::DEFAULT_CAPACITY)),
-            capacity,
+            records: Ring::new(capacity),
             next_seq: 0,
             permits: 0,
             denies: 0,
-            evictions: 0,
         }
     }
 
@@ -261,12 +258,10 @@ impl AuditLog {
             Effect::Permit => self.permits += 1,
             Effect::Deny => self.denies += 1,
         }
-        if self.capacity > 0 {
-            if self.records.len() == self.capacity {
-                self.records.pop_front();
-                self.evictions += 1;
-            }
-            self.records.push_back(AuditRecord {
+        // A zero capacity counts but never retains, so nothing is
+        // ever dropped either.
+        if self.records.capacity() > 0 {
+            self.records.push(AuditRecord {
                 seq,
                 decision_id,
                 subject,
@@ -363,21 +358,60 @@ impl AuditLog {
     /// `len() + evicted_count() == total_recorded()` always holds.
     #[must_use]
     pub fn evicted_count(&self) -> u64 {
-        self.evictions
+        self.records.dropped()
     }
 
     /// The most recent record, if any is retained.
     #[must_use]
     pub fn last(&self) -> Option<&AuditRecord> {
-        self.records.back()
+        self.records.iter().next_back()
     }
 
     /// Clears retained records. Counters keep their totals, and the
     /// dropped records are added to [`evicted_count`](Self::evicted_count)
     /// so retention accounting stays consistent.
     pub fn clear(&mut self) {
-        self.evictions += self.records.len() as u64;
         self.records.clear();
+    }
+}
+
+impl Serialize for AuditLog {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            (
+                "records".to_owned(),
+                Value::Seq(self.records.iter().map(Serialize::to_value).collect()),
+            ),
+            ("capacity".to_owned(), self.records.capacity().to_value()),
+            ("next_seq".to_owned(), self.next_seq.to_value()),
+            ("permits".to_owned(), self.permits.to_value()),
+            ("denies".to_owned(), self.denies.to_value()),
+            ("evictions".to_owned(), self.records.dropped().to_value()),
+        ])
+    }
+}
+
+impl Deserialize for AuditLog {
+    fn from_value(value: &Value) -> Result<Self, SerdeError> {
+        let field = |name: &str| {
+            value
+                .get(name)
+                .ok_or_else(|| SerdeError::custom(format!("missing field `{name}`")))
+        };
+        let evictions = match value.get("evictions") {
+            Some(evictions) => u64::from_value(evictions)?,
+            None => 0,
+        };
+        Ok(Self {
+            records: Ring::restore(
+                usize::from_value(field("capacity")?)?,
+                evictions,
+                Vec::<AuditRecord>::from_value(field("records")?)?,
+            ),
+            next_seq: u64::from_value(field("next_seq")?)?,
+            permits: u64::from_value(field("permits")?)?,
+            denies: u64::from_value(field("denies")?)?,
+        })
     }
 }
 
@@ -597,6 +631,44 @@ mod tests {
             restored.record(None, t(0), o(0), Effect::Deny, None, None, None),
             3
         );
+    }
+
+    /// The on-disk format, pinned: a capacity-2 log that recorded three
+    /// rows and evicted one, exactly as the log serialized it before its
+    /// records moved onto a [`Ring`]. Loading it must restore the rows,
+    /// the totals the rows cannot carry, and the sequence to continue
+    /// from; writing it back must reproduce the same bytes.
+    #[test]
+    fn loads_the_pinned_wrapped_format() {
+        const WRAPPED: &str = concat!(
+            r#"{"records":[{"seq":1,"decision_id":{"epoch":0,"seq":0},"subject":null,"#,
+            r#""transaction":0,"object":1,"effect":"Deny","winning_rule":null,"timestamp":3,"#,
+            r#""degraded":null},{"seq":2,"decision_id":{"epoch":0,"seq":0},"subject":null,"#,
+            r#""transaction":1,"object":2,"effect":"Permit","winning_rule":1,"timestamp":4,"#,
+            r#""degraded":null}],"capacity":2,"next_seq":3,"permits":2,"denies":1,"evictions":1}"#,
+        );
+        let mut log: AuditLog = serde_json::from_str(WRAPPED).unwrap();
+        let rows: Vec<_> = log
+            .iter()
+            .map(|r| (r.seq, r.object, r.effect, r.winning_rule, r.timestamp))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                (1, o(1), Effect::Deny, None, Some(3)),
+                (2, o(2), Effect::Permit, Some(RuleId::from_raw(1)), Some(4)),
+            ]
+        );
+        assert_eq!(log.total_recorded(), 3);
+        assert_eq!(log.permit_count(), 2);
+        assert_eq!(log.deny_count(), 1);
+        assert_eq!(log.evicted_count(), 1);
+        assert_eq!(serde_json::to_string(&log).unwrap(), WRAPPED);
+        assert_eq!(
+            log.record(None, t(0), o(0), Effect::Deny, None, None, None),
+            3
+        );
+        assert_eq!(log.evicted_count(), 2);
     }
 
     #[test]

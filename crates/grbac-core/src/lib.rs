@@ -75,6 +75,7 @@
 //! | [`degraded`] | §3 (availability) | fail-safe postures for stale/absent environment data |
 //! | [`telemetry`] | §3 (operability) | metrics registry, decision traces, quantile sketches, exporters |
 //! | [`provenance`] | §3 (explainability) | decision flight recorder, forensic query + replay |
+//! | [`ring`] | §3 (operability) | the bounded drop-oldest rings every retained log uses |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,6 +98,7 @@ pub mod id;
 mod index;
 pub mod precedence;
 pub mod provenance;
+pub mod ring;
 pub mod role;
 pub mod rule;
 pub mod serde_pairs;

@@ -1,27 +1,18 @@
 //! The decision flight recorder: a bounded, concurrent ring buffer of
 //! [`ProvenanceRecord`]s.
 //!
-//! The recorder is a fixed-capacity multi-producer ring with
-//! drop-oldest semantics. Producers claim a global sequence number with
-//! one lock-free `fetch_add` — the sequence doubles as the slot index —
-//! then publish the record under that slot's own mutex. Because every
-//! claim maps to a distinct slot until the ring wraps a full lap, a
-//! slot mutex is only ever contended when two writers race a whole
-//! `capacity` of claims apart, so the publish step is uncontended in
-//! practice and the crate's `#![forbid(unsafe_code)]` stays intact (no
-//! seqlock tricks over raw memory).
+//! The recorder is a [`SlotRing`] — the crate's multi-producer
+//! drop-oldest ring (see [`crate::ring`]): a record claims its global
+//! sequence number with one lock-free `fetch_add`, the sequence masks
+//! to a slot, and the record is published under that slot's own
+//! mutex. Decide threads therefore never serialize on one lock, and the
+//! crate's `#![forbid(unsafe_code)]` stays intact.
 //!
-//! Each record also carries a per-writer sequence number: every thread
-//! that ever records is assigned a writer id, and its records are
-//! stamped from a counter private to that writer. A snapshot can
-//! therefore be audited for tears — per writer, the retained
-//! `writer_seq` values must be strictly increasing in global-sequence
-//! order — which the `prop_recorder` suite checks under concurrent
-//! `check_batch` writers.
-
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+//! Each record also carries a per-writer sequence number from the
+//! ring module's writer-id mint. A snapshot can therefore be audited
+//! for tears — per writer, the retained `writer_seq` values must be
+//! strictly increasing in global-sequence order — which the
+//! `prop_recorder` suite checks under concurrent `check_batch` writers.
 
 use serde::{Deserialize, Serialize};
 
@@ -29,12 +20,8 @@ use crate::degraded::{DegradedReason, EnvHealth};
 use crate::engine::Actor;
 use crate::environment::EnvironmentSnapshot;
 use crate::id::{DecisionId, ObjectId, RoleId, RuleId, SubjectId, TransactionId};
+use crate::ring::{SlotRing, WriterSeqs};
 use crate::rule::Effect;
-
-/// Distinct per-writer sequence counters; writer ids beyond this share
-/// a counter (the per-writer monotonicity guarantee still holds, the
-/// sequences just interleave).
-const MAX_WRITERS: usize = 128;
 
 /// A stable fingerprint of an environment snapshot: FNV-1a over the
 /// sorted directly-active role ids. Two snapshots hash equal iff their
@@ -136,10 +123,8 @@ impl ProvenanceRecord {
 /// returns `None` without touching any state).
 #[derive(Debug)]
 pub struct FlightRecorder {
-    slots: Vec<Mutex<Option<ProvenanceRecord>>>,
-    mask: u64,
-    next: AtomicU64,
-    writer_seqs: Vec<AtomicU64>,
+    ring: SlotRing<ProvenanceRecord>,
+    writers: WriterSeqs,
 }
 
 impl FlightRecorder {
@@ -152,16 +137,9 @@ impl FlightRecorder {
     /// the slot index is a mask of the claim ticket.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = if capacity == 0 {
-            0
-        } else {
-            capacity.next_power_of_two()
-        };
         Self {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            mask: (capacity as u64).wrapping_sub(1),
-            next: AtomicU64::new(0),
-            writer_seqs: (0..MAX_WRITERS).map(|_| AtomicU64::new(0)).collect(),
+            ring: SlotRing::with_capacity(capacity),
+            writers: WriterSeqs::new(),
         }
     }
 
@@ -174,13 +152,13 @@ impl FlightRecorder {
     /// True when the recorder retains anything at all.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        !self.slots.is_empty()
+        self.capacity() > 0
     }
 
     /// Retention capacity (0 when disabled).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Records a decision, overwriting the oldest record once the ring
@@ -188,38 +166,26 @@ impl FlightRecorder {
     /// are assigned here. Returns the assigned global sequence number,
     /// or `None` when the recorder is disabled.
     pub fn record(&self, mut record: ProvenanceRecord) -> Option<u64> {
-        if self.slots.is_empty() {
+        if !self.is_enabled() {
             return None;
         }
-        let writer = current_writer_id();
-        record.writer = writer;
-        record.writer_seq =
-            self.writer_seqs[writer as usize % MAX_WRITERS].fetch_add(1, Ordering::Relaxed);
-        let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        record.seq = seq;
-        let slot = &self.slots[(seq & self.mask) as usize];
-        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        // Drop-oldest, not drop-newest: a writer that claimed this slot
-        // a full lap earlier but was descheduled before publishing must
-        // not overwrite the younger record that already landed.
-        if guard.as_ref().is_none_or(|existing| existing.seq <= seq) {
-            *guard = Some(record);
-        }
-        Some(seq)
+        (record.writer, record.writer_seq) = self.writers.next();
+        Some(self.ring.push_with(|seq| {
+            record.seq = seq;
+            record
+        }))
     }
 
     /// Decisions ever recorded (including dropped ones).
     #[must_use]
     pub fn total_recorded(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
+        self.ring.pushed()
     }
 
     /// Records currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        usize::try_from(self.total_recorded())
-            .unwrap_or(usize::MAX)
-            .min(self.capacity())
+        self.ring.len()
     }
 
     /// True when nothing has been recorded (or retention is disabled).
@@ -231,7 +197,7 @@ impl FlightRecorder {
     /// Records dropped by the ring so far.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.total_recorded().saturating_sub(self.capacity() as u64)
+        self.ring.dropped()
     }
 
     /// A point-in-time copy of the retained records, oldest first.
@@ -242,13 +208,7 @@ impl FlightRecorder {
     /// sequence-contiguity guarantee matters.
     #[must_use]
     pub fn snapshot(&self) -> Vec<ProvenanceRecord> {
-        let mut records: Vec<ProvenanceRecord> = self
-            .slots
-            .iter()
-            .filter_map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).clone())
-            .collect();
-        records.sort_by_key(|record| record.seq);
-        records
+        self.ring.collect(|_| true)
     }
 
     /// The most recent `n` retained records, oldest first.
@@ -269,12 +229,9 @@ impl FlightRecorder {
         if !decision_id.is_assigned() {
             return None;
         }
-        self.slots.iter().find_map(|slot| {
-            slot.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone()
-                .filter(|record| record.decision_id == decision_id)
-        })
+        self.ring
+            .collect(|record| record.decision_id == decision_id)
+            .pop()
     }
 }
 
@@ -282,23 +239,6 @@ impl Default for FlightRecorder {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The calling thread's writer id, assigned on first use from a
-/// process-wide counter.
-fn current_writer_id() -> u32 {
-    static NEXT_WRITER: AtomicU32 = AtomicU32::new(0);
-    thread_local! {
-        static WRITER_ID: Cell<u32> = const { Cell::new(u32::MAX) };
-    }
-    WRITER_ID.with(|cell| {
-        let mut id = cell.get();
-        if id == u32::MAX {
-            id = NEXT_WRITER.fetch_add(1, Ordering::Relaxed);
-            cell.set(id);
-        }
-        id
-    })
 }
 
 #[cfg(test)]

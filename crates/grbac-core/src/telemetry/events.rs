@@ -11,24 +11,30 @@
 //! delta landing in the compiled index, a request span completing —
 //! and any number of subscribers consume them.
 //!
+//! Besides subscribers, the bus keeps one replay window of the most
+//! recent events, read by seq without draining — the obs plane's
+//! `/events` resume. It fills only while an [`EventWindow`] holds it,
+//! and holders are not subscribers: they count in neither
+//! `grbac_event_subscribers` nor `grbac_events_dropped_total`.
+//!
 //! The design holds three invariants:
 //!
 //! * **Publishing never blocks.** Each subscriber owns a fixed-size
 //!   drop-oldest ring; a slow consumer loses its own oldest events
 //!   (counted, never silently) and affects nobody else. The publish
 //!   path takes no lock a consumer can hold across a system call.
+//!   Broadcasts are serialized by one bus lock, so every ring sees
+//!   events in seq order.
 //! * **Accounting is exact.** Per subscriber,
 //!   `delivered() + dropped() == published()` once the ring is fully
-//!   drained — every event offered to a subscriber is eventually
-//!   either handed over or counted as dropped.
-//! * **Idle means free.** With no subscribers (or the runtime kill
-//!   switch off, or the `telemetry-off` feature), a publish is one or
-//!   two relaxed atomic loads and an early return — the decide path
-//!   pays nothing for a plane nobody is watching.
+//!   drained: the [`Ring`] contract, with drained events as taken.
+//! * **Idle means free.** With no listeners of either kind (or the
+//!   runtime kill switch off, or the `telemetry-off` feature), a
+//!   publish is one or two relaxed atomic loads and an early return —
+//!   the decide path pays nothing for a plane nobody is watching.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use serde::Value;
 
@@ -36,6 +42,7 @@ use super::health::AlertRecord;
 use super::span::monotonic_nanos;
 use super::ENABLED;
 use crate::id::DecisionId;
+use crate::ring::Ring;
 use crate::rule::Effect;
 
 /// The classes of event the bus carries, in dense slot order (the
@@ -340,17 +347,19 @@ impl EventFilter {
     }
 }
 
-/// One subscriber's shared state: its filter, its ring, and its exact
-/// accounting counters.
+/// One subscriber's shared state: its filter and its ring, whose
+/// counters are the subscription's exact accounting.
 #[derive(Debug)]
 struct SubscriberState {
     id: u64,
     filter: EventFilter,
-    capacity: usize,
-    ring: Mutex<VecDeque<Arc<TelemetryEvent>>>,
-    published: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
+    ring: Mutex<Ring<Arc<TelemetryEvent>>>,
+}
+
+impl SubscriberState {
+    fn ring(&self) -> MutexGuard<'_, Ring<Arc<TelemetryEvent>>> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The interior shared between the bus and its subscription handles.
@@ -358,12 +367,29 @@ struct SubscriberState {
 struct BusShared {
     enabled: AtomicBool,
     seq: AtomicU64,
-    subscriber_count: AtomicU64,
+    /// Subscribers plus window holders: the one count the publish fast
+    /// path reads.
+    listeners: AtomicU64,
     next_subscriber: AtomicU64,
     published_by_kind: [AtomicU64; EventKind::ALL.len()],
     dropped: AtomicU64,
     degraded: AtomicBool,
     subscribers: RwLock<Vec<Arc<SubscriberState>>>,
+    /// The replay window; its lock also serializes broadcasts.
+    window: Mutex<Window>,
+}
+
+impl BusShared {
+    fn window(&self) -> MutexGuard<'_, Window> {
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The bus replay window and the number of [`EventWindow`]s holding it.
+#[derive(Debug)]
+struct Window {
+    holders: usize,
+    events: Ring<Arc<TelemetryEvent>>,
 }
 
 /// The broadcast bus. One lives on every
@@ -385,19 +411,26 @@ impl EventBus {
     /// stronger opinion.
     pub const DEFAULT_CAPACITY: usize = 1_024;
 
-    /// A fresh bus: enabled, no subscribers, sequence at zero.
+    /// Events the replay window retains while held.
+    pub const REPLAY_CAPACITY: usize = 1_024;
+
+    /// A fresh bus: enabled, no listeners, sequence at zero.
     #[must_use]
     pub fn new() -> Self {
         Self {
             shared: Arc::new(BusShared {
                 enabled: AtomicBool::new(true),
                 seq: AtomicU64::new(0),
-                subscriber_count: AtomicU64::new(0),
+                listeners: AtomicU64::new(0),
                 next_subscriber: AtomicU64::new(0),
                 published_by_kind: std::array::from_fn(|_| AtomicU64::new(0)),
                 dropped: AtomicU64::new(0),
                 degraded: AtomicBool::new(false),
                 subscribers: RwLock::new(Vec::new()),
+                window: Mutex::new(Window {
+                    holders: 0,
+                    events: Ring::new(Self::REPLAY_CAPACITY),
+                }),
             }),
         }
     }
@@ -415,10 +448,11 @@ impl EventBus {
         self.shared.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Active subscriptions right now.
+    /// Active subscriptions right now (window holders excluded).
     #[must_use]
     pub fn subscriber_count(&self) -> u64 {
-        self.shared.subscriber_count.load(Ordering::Relaxed)
+        let subscribers = self.shared.subscribers.read();
+        subscribers.unwrap_or_else(PoisonError::into_inner).len() as u64
     }
 
     /// The sequence number of the most recently broadcast event (0
@@ -438,6 +472,7 @@ impl EventBus {
     /// Ring evictions across all subscribers, ever (feeds
     /// `grbac_events_dropped_total`). Survives unsubscribes, unlike
     /// the per-subscription [`EventSubscription::dropped`] reading.
+    /// The replay window's turnover is not a drop and is not counted.
     #[must_use]
     pub fn dropped_total(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
@@ -451,21 +486,29 @@ impl EventBus {
         let state = Arc::new(SubscriberState {
             id: self.shared.next_subscriber.fetch_add(1, Ordering::Relaxed) + 1,
             filter,
-            capacity: capacity.max(1),
-            ring: Mutex::new(VecDeque::new()),
-            published: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: Mutex::new(Ring::new(capacity.max(1))),
         });
         self.shared
             .subscribers
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .push(state.clone());
-        self.shared.subscriber_count.fetch_add(1, Ordering::Relaxed);
+        self.shared.listeners.fetch_add(1, Ordering::Relaxed);
         EventSubscription {
             shared: self.shared.clone(),
             state,
+        }
+    }
+
+    /// Holds the replay window: while any hold is alive, the bus keeps
+    /// the last [`REPLAY_CAPACITY`](Self::REPLAY_CAPACITY) events
+    /// (unfiltered). The window empties when the last hold drops.
+    #[must_use]
+    pub fn hold_window(&self) -> EventWindow {
+        self.shared.window().holders += 1;
+        self.shared.listeners.fetch_add(1, Ordering::Relaxed);
+        EventWindow {
+            shared: self.shared.clone(),
         }
     }
 
@@ -505,10 +548,14 @@ impl EventBus {
     fn skip(&self) -> bool {
         !ENABLED
             || !self.shared.enabled.load(Ordering::Relaxed)
-            || self.shared.subscriber_count.load(Ordering::Relaxed) == 0
+            || self.shared.listeners.load(Ordering::Relaxed) == 0
     }
 
     fn broadcast(&self, data: EventData) {
+        // The window lock orders the whole fan-out: seqs are assigned
+        // under it, so the window and every subscriber ring receive
+        // events in seq order even when publishers race.
+        let mut window = self.shared.window();
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let event = Arc::new(TelemetryEvent {
             seq,
@@ -516,26 +563,19 @@ impl EventBus {
             data,
         });
         self.shared.published_by_kind[event.kind().slot() as usize].fetch_add(1, Ordering::Relaxed);
+        if window.holders > 0 {
+            window.events.push(event.clone());
+        }
         let subscribers = self
             .shared
             .subscribers
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         for subscriber in subscribers.iter() {
-            if !subscriber.filter.matches(&event) {
-                continue;
-            }
-            subscriber.published.fetch_add(1, Ordering::Relaxed);
-            let mut ring = subscriber
-                .ring
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if ring.len() >= subscriber.capacity {
-                ring.pop_front();
-                subscriber.dropped.fetch_add(1, Ordering::Relaxed);
+            if subscriber.filter.matches(&event) && subscriber.ring().push(event.clone()).is_some()
+            {
                 self.shared.dropped.fetch_add(1, Ordering::Relaxed);
             }
-            ring.push_back(event.clone());
         }
     }
 }
@@ -564,29 +604,14 @@ impl EventSubscription {
     /// Takes every event currently buffered, oldest first.
     #[must_use]
     pub fn drain(&self) -> Vec<Arc<TelemetryEvent>> {
-        let events: Vec<_> = {
-            let mut ring = self
-                .state
-                .ring
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            ring.drain(..).collect()
-        };
-        self.state
-            .delivered
-            .fetch_add(events.len() as u64, Ordering::Relaxed);
-        events
+        self.state.ring().drain().collect()
     }
 
     /// Events currently buffered (published, not yet drained or
     /// dropped).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.state
-            .ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+        self.state.ring().len()
     }
 
     /// True when nothing is buffered.
@@ -599,13 +624,13 @@ impl EventSubscription {
     /// to its ring.
     #[must_use]
     pub fn published(&self) -> u64 {
-        self.state.published.load(Ordering::Relaxed)
+        self.state.ring().pushed()
     }
 
     /// Events handed to the consumer by [`Self::drain`].
     #[must_use]
     pub fn delivered(&self) -> u64 {
-        self.state.delivered.load(Ordering::Relaxed)
+        self.state.ring().taken()
     }
 
     /// Events evicted from the ring before the consumer drained them.
@@ -613,7 +638,7 @@ impl EventSubscription {
     /// `delivered() + dropped() == published()`.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.state.dropped.load(Ordering::Relaxed)
+        self.state.ring().dropped()
     }
 }
 
@@ -626,7 +651,38 @@ impl Drop for EventSubscription {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(index) = subscribers.iter().position(|s| Arc::ptr_eq(s, &self.state)) {
             subscribers.swap_remove(index);
-            self.shared.subscriber_count.fetch_sub(1, Ordering::Relaxed);
+            self.shared.listeners.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A hold on the bus replay window (see [`EventBus::hold_window`]).
+#[derive(Debug)]
+pub struct EventWindow {
+    shared: Arc<BusShared>,
+}
+
+impl EventWindow {
+    /// Retained events with a bus seq strictly greater than `cursor`,
+    /// oldest first — the resume read behind `Last-Event-ID`. The window
+    /// is in seq order, so only the new tail is read.
+    #[must_use]
+    pub fn events_after(&self, cursor: u64) -> Vec<Arc<TelemetryEvent>> {
+        let window = self.shared.window();
+        let newer = window.events.iter().rev();
+        let mut events: Vec<_> = newer.take_while(|e| e.seq > cursor).cloned().collect();
+        events.reverse();
+        events
+    }
+}
+
+impl Drop for EventWindow {
+    fn drop(&mut self) {
+        self.shared.listeners.fetch_sub(1, Ordering::Relaxed);
+        let mut window = self.shared.window();
+        window.holders -= 1;
+        if window.holders == 0 {
+            window.events.clear();
         }
     }
 }
@@ -726,6 +782,28 @@ mod tests {
         assert_eq!(bus.subscriber_count(), 0);
         bus.publish(decision(1));
         assert_eq!(bus.current_seq(), 0, "no broadcast without subscribers");
+    }
+
+    #[test]
+    fn replay_window_fills_only_while_held() {
+        let bus = EventBus::new();
+        bus.publish(decision(1));
+        let window = bus.hold_window();
+        assert_eq!(bus.subscriber_count(), 0, "holders are not subscribers");
+        for seq in 2..=4 {
+            bus.publish(decision(seq));
+        }
+        if ENABLED {
+            let seqs: Vec<u64> = window.events_after(1).iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, vec![2, 3]);
+            assert_eq!(window.events_after(0).len(), 3);
+        }
+        assert_eq!(bus.dropped_total(), 0, "window turnover is not a drop");
+        drop(window);
+        let seq = bus.current_seq();
+        bus.publish(decision(5));
+        assert_eq!(bus.current_seq(), seq, "fast path is back");
+        assert!(bus.hold_window().events_after(0).is_empty(), "emptied");
     }
 
     #[test]

@@ -32,13 +32,12 @@
 //! (`grbac_alerts_total{kind="…"}`), with the learned baselines
 //! mirrored as gauges — all of which both exporters render.
 
-use std::collections::VecDeque;
-
 use serde::{Deserialize, Serialize};
 
 use super::metrics::MetricsRegistry;
 use super::ENABLED;
 use crate::id::DecisionId;
+use crate::ring::Ring;
 
 /// The four decision-stream signals a watchdog baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -233,8 +232,7 @@ pub struct DecisionWatchdog {
     id_cursor: u64,
     baselines: [Baseline; 4],
     ticks: u64,
-    next_seq: u64,
-    alerts: VecDeque<AlertRecord>,
+    alerts: Ring<AlertRecord>,
 }
 
 impl Default for DecisionWatchdog {
@@ -249,13 +247,12 @@ impl DecisionWatchdog {
     #[must_use]
     pub fn new(config: WatchdogConfig) -> Self {
         Self {
+            alerts: Ring::new(config.max_alerts),
             config,
             cursor: CounterCursor::default(),
             id_cursor: 0,
             baselines: [Baseline::default(); 4],
             ticks: 0,
-            next_seq: 0,
-            alerts: VecDeque::new(),
         }
     }
 
@@ -282,7 +279,7 @@ impl DecisionWatchdog {
     /// Total alerts ever raised (including any dropped from the log).
     #[must_use]
     pub fn alert_count(&self) -> u64 {
-        self.next_seq
+        self.alerts.pushed()
     }
 
     /// Evaluates one tick: diffs the registry counters against the
@@ -342,7 +339,7 @@ impl DecisionWatchdog {
                 self.baselines[slot].observe(observed, &self.config)
             {
                 let record = AlertRecord {
-                    seq: self.next_seq,
+                    seq: self.alerts.pushed(),
                     tick: self.ticks,
                     kind,
                     observed,
@@ -351,15 +348,11 @@ impl DecisionWatchdog {
                     window,
                     decision_ids: window_ids.clone(),
                 };
-                self.next_seq += 1;
                 registry.alerts_by_kind.add(kind.slot(), 1);
                 registry
                     .events
                     .publish(super::events::EventData::Alert(record.clone()));
-                self.alerts.push_back(record.clone());
-                while self.alerts.len() > self.config.max_alerts {
-                    self.alerts.pop_front();
-                }
+                self.alerts.push(record.clone());
                 raised.push(record);
             }
         }

@@ -19,10 +19,10 @@
 //! * [`Span`] / [`SpanStore`] / [`TraceContext`] — wire-propagated
 //!   request tracing: `traceparent`-style context parsed from (and
 //!   echoed onto) the serve protocol, spans covering queue wait, lock
-//!   acquisition and the engine call, collected in a sharded
-//!   drop-oldest ring with counted evictions and a runtime sampling
-//!   rate. Engine-call spans are stamped with the decision's
-//!   [`DecisionId`](crate::id::DecisionId), joining traces to the
+//!   acquisition and the engine call, collected in sharded
+//!   [`SlotRing`](crate::ring::SlotRing)s with counted evictions and a
+//!   runtime sampling rate. Engine-call spans are stamped with the
+//!   decision's [`DecisionId`](crate::id::DecisionId), joining traces to the
 //!   flight-recorder/audit/exemplar evidence. Deliberately *not*
 //!   compiled out by `telemetry-off` (propagation is a wire contract).
 //! * [`QuantileSketch`] — a fixed-memory HDR-style streaming sketch
@@ -47,12 +47,16 @@
 //!   effect and id, watchdog alerts, degraded-mode edges, policy-delta
 //!   installs, completed spans) with per-subscriber drop-oldest rings,
 //!   exact `delivered + dropped == published` accounting, and a
-//!   runtime kill switch. Publishing with nobody subscribed is a
-//!   couple of relaxed loads.
+//!   runtime kill switch, plus a replay window of recent events kept
+//!   while an [`EventWindow`] holds it (the obs plane's `/events`
+//!   resume). Publishing with nobody listening is a couple of relaxed
+//!   loads.
 //! * [`MetricsHistory`] — the time-series plane: a bounded ring of
 //!   periodic [`MetricsSnapshot`] deltas with windowed rate queries
 //!   (deny rate, decide throughput, degraded ppm) feeding the obs
 //!   server's `/timeseries` endpoint and dashboard sparklines.
+//!
+//! Every retained log here is one of the two rings in [`crate::ring`].
 //!
 //! Telemetry is **on by default and cheap**: every counter update is a
 //! single relaxed atomic operation, decision latency is sampled (one
@@ -75,7 +79,8 @@ mod trace;
 
 pub use crate::delta::DeltaKind;
 pub use events::{
-    EventBus, EventData, EventFilter, EventKind, EventSubscription, Severity, TelemetryEvent,
+    EventBus, EventData, EventFilter, EventKind, EventSubscription, EventWindow, Severity,
+    TelemetryEvent,
 };
 pub use export::{Exporter, JsonExporter, PrometheusExporter};
 pub use health::{AlertKind, AlertRecord, DecisionWatchdog, WatchdogConfig};

@@ -11,13 +11,13 @@
 //! the minted [`DecisionId`], which joins spans to the
 //! provenance/audit/exemplar evidence the decision left behind.
 //!
-//! The store mirrors the
-//! [`FlightRecorder`](crate::provenance::FlightRecorder) concurrency
-//! design, sharded: writers pin to a shard by thread, claim a global
-//! sequence ticket with one lock-free `fetch_add`, then publish under
-//! the slot's own mutex with a drop-oldest guard. Evictions are counted
-//! exactly (`dropped`), and self-initiated sampling uses the same
-//! power-of-two mask scheme as the registry's latency sampler.
+//! The store is sharded over the crate's multi-producer
+//! [`SlotRing`](crate::ring::SlotRing), the same ring as the
+//! [`FlightRecorder`](crate::provenance::FlightRecorder): writers pin
+//! to a shard by writer id, claim a global sequence number with one
+//! lock-free `fetch_add`, then push into their shard's ring. Evictions
+//! are counted exactly (`dropped`), and self-initiated sampling uses
+//! the same power-of-two mask scheme as the registry's latency sampler.
 //!
 //! Timestamps are **monotonic process nanoseconds** (see
 //! [`monotonic_nanos`]): cheap, overflow-free for centuries, and
@@ -29,19 +29,14 @@
 //! client that asked for a recorded span must get one regardless of how
 //! the engine's internal counters were compiled.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 use crate::id::DecisionId;
-
-/// Distinct per-writer sequence counters; writer ids beyond this share
-/// a counter (per-writer monotonicity still holds, the sequences just
-/// interleave). Matches the flight recorder's bound.
-const MAX_WRITERS: usize = 128;
+use crate::ring::{SlotRing, WriterSeqs};
 
 /// Shard count of a [`SpanStore`] (power of two; threads pin to a
 /// shard, so claims from different cores rarely touch the same cache
@@ -710,47 +705,13 @@ pub fn otlp_value(service_name: &str, spans: &[Span]) -> Value {
     )])
 }
 
-/// One shard of the store: its own slot ring and ring cursor. The
-/// global claim ticket lives on the store so `seq` stays totally
-/// ordered across shards.
-#[derive(Debug)]
-struct Shard {
-    slots: Vec<Mutex<Option<Span>>>,
-    mask: u64,
-    cursor: AtomicU64,
-}
-
-impl Shard {
-    fn with_capacity(capacity: usize) -> Self {
-        debug_assert!(capacity.is_power_of_two());
-        Self {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            mask: (capacity as u64).wrapping_sub(1),
-            cursor: AtomicU64::new(0),
-        }
-    }
-
-    fn len(&self) -> usize {
-        usize::try_from(self.cursor.load(Ordering::Relaxed))
-            .unwrap_or(usize::MAX)
-            .min(self.slots.len())
-    }
-
-    fn dropped(&self) -> u64 {
-        self.cursor
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.slots.len() as u64)
-    }
-}
-
 /// A bounded, sharded, multi-producer store of finished [`Span`]s with
 /// drop-oldest semantics, counted evictions, and a runtime sampling
 /// rate.
 ///
 /// Writers pin to a shard per thread; a span record is one lock-free
-/// global `fetch_add` (the `seq` ticket), one lock-free shard-cursor
-/// `fetch_add` (the slot index), and one uncontended slot-mutex publish
-/// — the same design as the
+/// global `fetch_add` (the `seq` ticket) plus one push into the shard's
+/// [`SlotRing`] — the same ring as the
 /// [`FlightRecorder`](crate::provenance::FlightRecorder), sharded so
 /// many cores recording concurrently don't share ring cursors.
 /// Retention is per shard (`capacity / SHARDS` each), so a single hot
@@ -764,12 +725,12 @@ impl Shard {
 ///   in `rate`); client-sampled requests bypass the rate entirely.
 #[derive(Debug)]
 pub struct SpanStore {
-    shards: Vec<Shard>,
+    shards: Vec<SlotRing<Span>>,
     next_seq: AtomicU64,
     enabled: AtomicBool,
     sample_tick: AtomicU64,
     sample_mask: AtomicU64,
-    writer_seqs: Vec<AtomicU64>,
+    writers: WriterSeqs,
 }
 
 impl SpanStore {
@@ -790,9 +751,9 @@ impl SpanStore {
         let shards = if capacity == 0 {
             Vec::new()
         } else {
-            let per_shard = capacity.div_ceil(SHARDS).next_power_of_two();
+            let per_shard = capacity.div_ceil(SHARDS);
             (0..SHARDS)
-                .map(|_| Shard::with_capacity(per_shard))
+                .map(|_| SlotRing::with_capacity(per_shard))
                 .collect()
         };
         Self {
@@ -801,7 +762,7 @@ impl SpanStore {
             enabled: AtomicBool::new(true),
             sample_tick: AtomicU64::new(0),
             sample_mask: AtomicU64::new(Self::DEFAULT_SAMPLE_RATE - 1),
-            writer_seqs: (0..MAX_WRITERS).map(|_| AtomicU64::new(0)).collect(),
+            writers: WriterSeqs::new(),
         }
     }
 
@@ -814,7 +775,7 @@ impl SpanStore {
     /// Total retention across shards (0 when disabled at construction).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|shard| shard.slots.len()).sum()
+        self.shards.iter().map(SlotRing::capacity).sum()
     }
 
     /// Master recording switch. Off, [`record`](Self::record) and
@@ -864,22 +825,10 @@ impl SpanStore {
         if !self.is_enabled() {
             return None;
         }
-        let writer = current_writer_id();
-        span.writer = writer;
-        span.writer_seq =
-            self.writer_seqs[writer as usize % MAX_WRITERS].fetch_add(1, Ordering::Relaxed);
+        (span.writer, span.writer_seq) = self.writers.next();
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         span.seq = seq;
-        let shard = &self.shards[writer as usize % SHARDS];
-        let index = shard.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &shard.slots[(index & shard.mask) as usize];
-        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        // Drop-oldest: a writer descheduled a full shard lap between
-        // claim and publish must not clobber the younger span that
-        // already landed.
-        if guard.as_ref().is_none_or(|existing| existing.seq <= seq) {
-            *guard = Some(span);
-        }
+        self.shards[span.writer as usize % SHARDS].push_with(|_| span);
         Some(seq)
     }
 
@@ -892,7 +841,7 @@ impl SpanStore {
     /// Spans currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
+        self.shards.iter().map(SlotRing::len).sum()
     }
 
     /// True when nothing is retained.
@@ -905,7 +854,7 @@ impl SpanStore {
     /// its own ring laps).
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.shards.iter().map(Shard::dropped).sum()
+        self.shards.iter().map(SlotRing::dropped).sum()
     }
 
     /// A point-in-time copy of every retained span, ordered by claim
@@ -914,32 +863,26 @@ impl SpanStore {
     /// retention windows matter.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Span> {
-        let mut spans: Vec<Span> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.slots.iter())
-            .filter_map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).clone())
-            .collect();
-        spans.sort_by_key(|span| span.seq);
-        spans
+        self.collect(|_| true)
     }
 
     /// Every retained span of `trace_id`, ordered by start time. A
     /// linear scan (operator-paced, like the recorder's `find`).
     #[must_use]
     pub fn trace(&self, trace_id: TraceId) -> Vec<Span> {
+        let mut spans = self.collect(|span| span.trace_id == trace_id);
+        spans.sort_by_key(|span| (span.start_ns, span.seq));
+        spans
+    }
+
+    /// Retained spans passing `keep`, across shards, in `seq` order.
+    fn collect(&self, mut keep: impl FnMut(&Span) -> bool) -> Vec<Span> {
         let mut spans: Vec<Span> = self
             .shards
             .iter()
-            .flat_map(|shard| shard.slots.iter())
-            .filter_map(|slot| {
-                slot.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone()
-                    .filter(|span| span.trace_id == trace_id)
-            })
+            .flat_map(|shard| shard.collect(&mut keep))
             .collect();
-        spans.sort_by_key(|span| (span.start_ns, span.seq));
+        spans.sort_by_key(|span| span.seq);
         spans
     }
 
@@ -957,24 +900,6 @@ impl Default for SpanStore {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The calling thread's writer id, assigned on first use from a
-/// process-wide counter (same scheme as the flight recorder; the ids
-/// are store-independent, they only need to be thread-stable).
-fn current_writer_id() -> u32 {
-    static NEXT_WRITER: AtomicU32 = AtomicU32::new(0);
-    thread_local! {
-        static WRITER_ID: Cell<u32> = const { Cell::new(u32::MAX) };
-    }
-    WRITER_ID.with(|cell| {
-        let mut id = cell.get();
-        if id == u32::MAX {
-            id = NEXT_WRITER.fetch_add(1, Ordering::Relaxed);
-            cell.set(id);
-        }
-        id
-    })
 }
 
 #[cfg(test)]

@@ -37,13 +37,13 @@
 //! other methods answer `405` with an `Allow: GET` header.
 //!
 //! The three live routes require [`EngineObs::with_live_telemetry`]
-//! (absent, they answer 404): it subscribes the plane to the engine's
-//! [`EventBus`](grbac_core::telemetry::EventBus) and starts — once
-//! served — a background pump that drains events into a bounded
-//! replayable ring and records a [`MetricsHistory`] window every
-//! ~500 ms. `/events` streams the ring as SSE (`id:` is the bus seq,
-//! so `Last-Event-ID` reconnects resume exactly where the client left
-//! off) with `: heartbeat` comments while quiet; `/timeseries` answers
+//! (absent, they answer 404): it holds the replay window of the
+//! engine's [`EventBus`] — the bus keeps the most recent events itself
+//! while a holder exists — and starts, once served, a background
+//! ticker that records a [`MetricsHistory`] window every ~500 ms.
+//! `/events` streams the window as SSE (`id:` is the bus seq, so
+//! `Last-Event-ID` reconnects resume exactly where the client left off)
+//! with `: heartbeat` comments while quiet; `/timeseries` answers
 //! windowed rate series for dashboards; `/dashboard` is a single
 //! self-contained HTML page consuming both. A streaming `/events`
 //! connection occupies one worker for its lifetime — size the pool
@@ -70,7 +70,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,49 +81,44 @@ use std::time::{Duration, Instant};
 use grbac_core::analysis::health_report;
 use grbac_core::provenance::decision_story;
 use grbac_core::telemetry::{
-    assemble_trace, otlp_value, DecisionWatchdog, EventFilter, EventKind, EventSubscription,
+    assemble_trace, otlp_value, DecisionWatchdog, EventBus, EventFilter, EventKind, EventWindow,
     Exporter, JsonExporter, MetricsHistory, PrometheusExporter, Severity, SpanStore, SpanTree,
-    TelemetryEvent, TraceId,
+    TraceId,
 };
 use grbac_core::{DecisionId, Grbac};
 use serde::Value;
 
-/// The obs plane's own tap on the engine's event bus plus its metrics
-/// time series: a long-lived bus subscription drained into a bounded
-/// replayable ring (so SSE reconnects can resume by seq) and a
-/// [`MetricsHistory`] recorded on a ~500 ms cadence.
+/// The obs plane's hold on the engine bus's replay window (so SSE
+/// reconnects can resume by seq from events the bus keeps itself) plus
+/// its metrics time series, a [`MetricsHistory`] recorded on a
+/// ~500 ms cadence.
 ///
-/// Pull-fed like the history itself: [`EngineObs::live_tick`] does one
-/// pump-and-maybe-scrape step. [`ObsServer`] runs a background ticker
-/// whenever the plane it serves has live telemetry attached, and every
-/// `/events` stream ticks on its own poll loop too, so events reach
-/// watchers within one tick even between scrapes.
+/// The history is pull-fed: [`EngineObs::live_tick`] does one
+/// maybe-scrape step, and [`ObsServer`] runs a background ticker
+/// whenever the plane it serves has live telemetry attached.
 #[derive(Debug)]
 pub struct LiveTelemetry {
-    subscription: EventSubscription,
-    ring: Mutex<VecDeque<Arc<TelemetryEvent>>>,
+    window: EventWindow,
     history: MetricsHistory,
     last_scrape: Mutex<Option<Instant>>,
 }
 
 impl LiveTelemetry {
-    /// Events the replay ring retains for `Last-Event-ID` resume (and
-    /// the bus-side ring capacity of the plane's subscription).
-    pub const RETAINED_EVENTS: usize = 1_024;
+    /// Events the bus's replay window retains for `Last-Event-ID`
+    /// resume.
+    pub const RETAINED_EVENTS: usize = EventBus::REPLAY_CAPACITY;
 
     /// Target cadence between metrics-history captures.
     pub const SCRAPE_INTERVAL: Duration = Duration::from_millis(500);
 
     fn new(engine: &Arc<RwLock<Grbac>>) -> Self {
-        let subscription = engine
-            .read()
-            .expect("engine lock")
-            .metrics()
-            .events
-            .subscribe(Self::RETAINED_EVENTS, EventFilter::all());
         Self {
-            subscription,
-            ring: Mutex::new(VecDeque::new()),
+            window: engine
+                .read()
+                .expect("engine lock")
+                .metrics()
+                .events
+                .hold_window(),
             history: MetricsHistory::new(MetricsHistory::DEFAULT_CAPACITY),
             last_scrape: Mutex::new(None),
         }
@@ -134,39 +128,6 @@ impl LiveTelemetry {
     #[must_use]
     pub fn history(&self) -> &MetricsHistory {
         &self.history
-    }
-
-    /// Moves everything the bus delivered since the last pump into the
-    /// retained ring, evicting oldest beyond
-    /// [`RETAINED_EVENTS`](Self::RETAINED_EVENTS).
-    fn pump(&self) {
-        let events = self.subscription.drain();
-        if events.is_empty() {
-            return;
-        }
-        let mut ring = self
-            .ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for event in events {
-            if ring.len() >= Self::RETAINED_EVENTS {
-                ring.pop_front();
-            }
-            ring.push_back(event);
-        }
-    }
-
-    /// Retained events with a bus seq strictly greater than `cursor`,
-    /// oldest first.
-    fn events_after(&self, cursor: u64) -> Vec<Arc<TelemetryEvent>> {
-        let ring = self
-            .ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        ring.iter()
-            .filter(|event| event.seq > cursor)
-            .cloned()
-            .collect()
     }
 
     /// Unconditionally captures one history window from the engine's
@@ -246,8 +207,8 @@ impl EngineObs {
     }
 
     /// Attaches live telemetry, enabling `/events`, `/timeseries` and
-    /// `/dashboard`: subscribes this plane to the engine's event bus
-    /// (which flips the bus out of its nobody-listening fast path) and
+    /// `/dashboard`: holds the engine event bus's replay window (which
+    /// flips the bus out of its nobody-listening fast path) and
     /// allocates the metrics-history ring. [`ObsServer::serve`] starts
     /// the background ticker automatically when it sees live telemetry
     /// attached.
@@ -263,12 +224,10 @@ impl EngineObs {
         self.live.as_ref()
     }
 
-    /// One live-telemetry step: drain the bus subscription into the
-    /// replay ring and, if the scrape interval elapsed, record a
-    /// metrics-history window. No-op without live telemetry.
+    /// One live-telemetry step: if the scrape interval elapsed,
+    /// record a metrics-history window. No-op without live telemetry.
     pub fn live_tick(&self) {
         if let Some(live) = &self.live {
-            live.pump();
             live.maybe_scrape(&self.engine);
         }
     }
@@ -676,21 +635,23 @@ impl Response {
         }
     }
 
+    /// Writes the head and body as one `write_all`, so they leave in
+    /// one segment rather than two.
     fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
         let allow = match self.allow {
             Some(methods) => format!("Allow: {methods}\r\n"),
             None => String::new(),
         };
-        let head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: close\r\n\r\n",
+        let message = format!(
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: close\r\n\r\n{}",
             self.status,
             self.reason,
             self.content_type,
             self.body.len(),
             allow,
+            self.body,
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())
+        stream.write_all(message.as_bytes())
     }
 }
 
@@ -820,9 +781,8 @@ fn stream_events(
         if stop.load(Ordering::Acquire) {
             return;
         }
-        obs.live_tick();
         let mut wrote = false;
-        for event in live.events_after(cursor) {
+        for event in live.window.events_after(cursor) {
             cursor = event.seq;
             if !filter.matches(&event) {
                 continue;
@@ -956,8 +916,8 @@ impl ObsServer {
             .collect();
 
         // With live telemetry attached, a background ticker keeps the
-        // event ring and the metrics history fed even while nobody is
-        // watching — so the first dashboard load already has a past.
+        // metrics history fed even while nobody is watching — so the
+        // first dashboard load already has a past.
         let ticker = obs.live.is_some().then(|| {
             let obs = obs.clone();
             let stop = Arc::clone(&stop);
@@ -1000,8 +960,7 @@ impl ObsServer {
     }
 
     /// How often the live-telemetry ticker wakes (the history scrape
-    /// itself is gated to [`LiveTelemetry::SCRAPE_INTERVAL`]; events
-    /// move to the replay ring on every beat).
+    /// itself is gated to [`LiveTelemetry::SCRAPE_INTERVAL`]).
     const TICKER_POLL: Duration = Duration::from_millis(100);
 
     /// The bound address (resolves port 0 to the actual port).
@@ -1408,9 +1367,9 @@ mod tests {
     }
 
     /// The live tentpole round trip: decisions publish onto the bus,
-    /// the plane's pump retains them, `/events` streams them as SSE
-    /// frames, and a `Last-Event-ID` reconnect resumes past everything
-    /// already seen.
+    /// the bus's replay window retains them, `/events` streams them as
+    /// SSE frames, and a `Last-Event-ID` reconnect resumes past
+    /// everything already seen.
     #[test]
     fn events_stream_delivers_and_resumes_by_seq() {
         let engine = engine_with_policy();

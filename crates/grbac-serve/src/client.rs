@@ -50,8 +50,12 @@ impl Client {
     /// arrived (e.g. the server closed the connection after
     /// `line_too_long`).
     pub fn request_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per frame: a line and its newline sent separately
+        // leave as two segments on a `TCP_NODELAY` socket.
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes())?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

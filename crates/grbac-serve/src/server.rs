@@ -222,13 +222,11 @@ fn serve_connection(
                 if line.is_empty() {
                     continue; // blank keep-alive lines are fine
                 }
-                let response = service.handle_stream_line(line, queue_wait_ns, &mut subscription);
+                let mut response =
+                    service.handle_stream_line(line, queue_wait_ns, &mut subscription);
                 queue_wait_ns = 0;
-                if writer
-                    .write_all(response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .is_err()
-                {
+                response.push('\n');
+                if writer.write_all(response.as_bytes()).is_err() {
                     break;
                 }
                 if subscription.is_some() != was_streaming {
@@ -269,9 +267,9 @@ fn serve_connection(
                         format!("request line exceeds {max_line} bytes"),
                     ),
                 );
-                let _ = writer
-                    .write_all(serde_json::to_string(&error).unwrap_or_default().as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"));
+                let mut frame = serde_json::to_string(&error).unwrap_or_default();
+                frame.push('\n');
+                let _ = writer.write_all(frame.as_bytes());
                 break;
             }
             Err(ReadError::Io) => break,
@@ -279,20 +277,17 @@ fn serve_connection(
     }
 }
 
-/// Writes every buffered event frame to the client. Returns false
-/// when the client is gone (any write failure), which ends the
-/// connection and drops the subscription.
+/// Writes every buffered event frame to the client, one `write_all`
+/// per frame. Returns false when the client is gone (any write
+/// failure), which ends the connection and drops the subscription.
 fn pump_events(service: &PolicyService, writer: &mut TcpStream, live: &WireSubscription) -> bool {
     for frame in live.drain_frames() {
-        let line = match serde_json::to_string(&frame) {
+        let mut line = match serde_json::to_string(&frame) {
             Ok(line) => line,
             Err(_) => continue,
         };
-        if writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .is_err()
-        {
+        line.push('\n');
+        if writer.write_all(line.as_bytes()).is_err() {
             return false;
         }
         service.metrics().event_frames_total.inc();
@@ -405,6 +400,27 @@ mod tests {
         let server = ServeServer::serve(service_with_tenant(), "127.0.0.1:0").unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
         let response = client.request_line("this is not json").unwrap();
+        assert!(response.contains("\"malformed_request\""), "{response}");
+        let response = client.request_line(r#"{"op":"ping"}"#).unwrap();
+        assert!(response.contains("\"ok\":true"), "{response}");
+        server.shutdown();
+    }
+
+    /// A line nested far past the parser's depth bound (about 40 KB,
+    /// well under the line cap) is one malformed request, not a stack
+    /// overflow: the worker answers it and the connection stays open.
+    #[test]
+    fn deeply_nested_line_is_malformed_not_fatal() {
+        let server = ServeServer::serve(service_with_tenant(), "127.0.0.1:0").unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let depth = 20_000;
+        let line = format!(
+            r#"{{"op":"ping","x":{}{}}}"#,
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        assert_eq!(line.len(), 40_018);
+        let response = client.request_line(&line).unwrap();
         assert!(response.contains("\"malformed_request\""), "{response}");
         let response = client.request_line(r#"{"op":"ping"}"#).unwrap();
         assert!(response.contains("\"ok\":true"), "{response}");
