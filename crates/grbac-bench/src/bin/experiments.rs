@@ -1092,7 +1092,8 @@ fn e12_provenance() -> Vec<Table> {
     // Recorder overhead vs ring capacity. Each measurement replays the
     // full workload on a fresh household (so the events and the policy
     // state are identical) and takes the fastest of three runs;
-    // capacity 0 disables recording and is the baseline.
+    // capacity 0 only counts decisions (no record is built) and is the
+    // baseline.
     let mut overhead = Table::new(
         "E12: recorder overhead vs ring capacity (E9 7-day workload)",
         &["capacity", "requests", "ns_per_request", "overhead"],

@@ -1,31 +1,34 @@
-//! Audit log: a bounded record of mediation outcomes.
+//! The audit view: who was granted what, and when.
 //!
 //! Security-sensitive homes need an account of who was granted what and
 //! when (§3's "data theft" concern cuts both ways — the household also
-//! wants to review access). The log keeps its records in a bounded
-//! [`Ring`] so a chatty sensor network cannot exhaust memory.
+//! wants to review access). The engine keeps one decision log, the
+//! [flight recorder](crate::provenance::FlightRecorder); [`AuditView`]
+//! reads it as [`AuditRecord`] rows with exact permit/deny totals that
+//! survive eviction, so a chatty sensor network cannot exhaust memory
+//! and the household still sees every count.
 //!
-//! Review tooling filters the log with [`AuditFilter`] (shared with the
+//! Review tooling filters the rows with [`AuditFilter`] (shared with the
 //! richer [`provenance`](crate::provenance) forensics engine) and
-//! exports it as JSON lines via [`AuditLog::write_jsonl`].
+//! exports them as JSON lines via [`AuditView::write_jsonl`].
 
 use std::io::{self, Write};
 
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::degraded::DegradedReason;
 use crate::id::{DecisionId, ObjectId, RuleId, SubjectId, TransactionId};
-use crate::ring::Ring;
+use crate::provenance::{FlightRecorder, ProvenanceRecord};
 use crate::rule::Effect;
 
-/// One mediated request.
+/// One mediated request: the audit columns of a [`ProvenanceRecord`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AuditRecord {
     /// Monotonic sequence number (never reused, survives eviction).
     pub seq: u64,
     /// The correlation id minted for the decision
-    /// ([`DecisionId::UNASSIGNED`] for rows recorded outside the
-    /// minting path or loaded from logs older than the id scheme).
+    /// ([`DecisionId::UNASSIGNED`] only for rows loaded from logs older
+    /// than the id scheme).
     #[serde(default)]
     pub decision_id: DecisionId,
     /// The requesting subject, when identified.
@@ -50,6 +53,22 @@ pub struct AuditRecord {
     pub degraded: Option<DegradedReason>,
 }
 
+impl From<&ProvenanceRecord> for AuditRecord {
+    fn from(record: &ProvenanceRecord) -> Self {
+        Self {
+            seq: record.seq,
+            decision_id: record.decision_id,
+            subject: record.subject,
+            transaction: record.transaction,
+            object: record.object,
+            effect: record.effect,
+            winning_rule: record.winning_rule,
+            timestamp: record.timestamp,
+            degraded: record.degraded,
+        }
+    }
+}
+
 /// Equality ignores [`AuditRecord::decision_id`]: the correlation id is
 /// per-engine metadata (its epoch differs across engine lifetimes), so
 /// two engines mediating the same requests still produce equal records.
@@ -72,7 +91,7 @@ impl PartialEq for AuditRecord {
 /// field must match for a record to pass. The default filter matches
 /// everything.
 ///
-/// The same filter drives [`AuditLog::iter_filtered`] and the forensic
+/// The same filter drives [`AuditView::iter_filtered`] and the forensic
 /// queries in [`provenance`](crate::provenance), so "the 3am denies for
 /// bobby" means the same thing against either store.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -106,9 +125,8 @@ impl AuditFilter {
     }
 
     /// Whether a record with these fields passes the filter. Exposed as
-    /// a by-parts check so stores with different record types (the
-    /// audit log, the provenance flight recorder) share one matching
-    /// semantics.
+    /// a by-parts check so both row types (audit rows, provenance
+    /// records) share one matching semantics.
     #[must_use]
     pub fn matches_parts(
         &self,
@@ -174,136 +192,52 @@ impl AuditFilter {
     }
 }
 
-/// Bounded, append-only log of [`AuditRecord`]s.
+/// A read-only view of the engine's decision log (the
+/// [`FlightRecorder`]) as [`AuditRecord`] rows.
 ///
-/// Serialized as `{"records", "capacity", "next_seq", "permits",
-/// "denies", "evictions"}`; `evictions` (the ring's dropped count)
-/// defaults to 0 when loading logs written before the counter existed.
-#[derive(Debug, Clone)]
-pub struct AuditLog {
-    records: Ring<AuditRecord>,
-    next_seq: u64,
-    permits: u64,
-    denies: u64,
+/// Totals are exact and survive eviction; rows are the records the
+/// recorder still retains, oldest first. Every accessor reads the live
+/// recorder, so two calls may see different rows while decisions run.
+#[derive(Debug, Clone, Copy)]
+pub struct AuditView<'a> {
+    recorder: &'a FlightRecorder,
 }
 
-impl AuditLog {
-    /// Default retention when none is specified.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// Creates a log retaining at most `capacity` records (the counters
-    /// keep counting after eviction). A zero capacity disables retention
-    /// but still counts.
+impl<'a> AuditView<'a> {
+    /// A view of `recorder`.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            records: Ring::new(capacity),
-            next_seq: 0,
-            permits: 0,
-            denies: 0,
-        }
-    }
-
-    /// Creates a log with [`Self::DEFAULT_CAPACITY`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// Appends a record, evicting the oldest when at capacity. Returns
-    /// the assigned sequence number. The row carries no correlation id
-    /// ([`DecisionId::UNASSIGNED`]); the engine's mediation paths use
-    /// [`record_with_id`](Self::record_with_id).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        subject: Option<SubjectId>,
-        transaction: TransactionId,
-        object: ObjectId,
-        effect: Effect,
-        winning_rule: Option<RuleId>,
-        timestamp: Option<u64>,
-        degraded: Option<DegradedReason>,
-    ) -> u64 {
-        self.record_with_id(
-            DecisionId::UNASSIGNED,
-            subject,
-            transaction,
-            object,
-            effect,
-            winning_rule,
-            timestamp,
-            degraded,
-        )
-    }
-
-    /// [`record`](Self::record), stamping the row with the decision's
-    /// correlation id so audit review joins against traces, recorder
-    /// entries and exemplars.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_with_id(
-        &mut self,
-        decision_id: DecisionId,
-        subject: Option<SubjectId>,
-        transaction: TransactionId,
-        object: ObjectId,
-        effect: Effect,
-        winning_rule: Option<RuleId>,
-        timestamp: Option<u64>,
-        degraded: Option<DegradedReason>,
-    ) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match effect {
-            Effect::Permit => self.permits += 1,
-            Effect::Deny => self.denies += 1,
-        }
-        // A zero capacity counts but never retains, so nothing is
-        // ever dropped either.
-        if self.records.capacity() > 0 {
-            self.records.push(AuditRecord {
-                seq,
-                decision_id,
-                subject,
-                transaction,
-                object,
-                effect,
-                winning_rule,
-                timestamp,
-                degraded,
-            });
-        }
-        seq
+    pub(crate) fn new(recorder: &'a FlightRecorder) -> Self {
+        Self { recorder }
     }
 
     /// The retained row carrying `decision_id`, if any — the audit leg
     /// of a `/decision/<id>` correlation lookup.
     #[must_use]
-    pub fn find_by_decision_id(&self, decision_id: DecisionId) -> Option<&AuditRecord> {
-        if !decision_id.is_assigned() {
-            return None;
-        }
-        self.records
-            .iter()
-            .find(|record| record.decision_id == decision_id)
+    pub fn find_by_decision_id(&self, decision_id: DecisionId) -> Option<AuditRecord> {
+        self.recorder
+            .find(decision_id)
+            .map(|record| AuditRecord::from(&record))
     }
 
-    /// Records currently retained, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &AuditRecord> {
-        self.records.iter()
+    /// Rows currently retained, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = AuditRecord> {
+        self.recorder
+            .snapshot()
+            .into_iter()
+            .map(|record| AuditRecord::from(&record))
     }
 
-    /// Retained records passing `filter`, oldest first.
-    pub fn iter_filtered<'a>(
-        &'a self,
-        filter: &'a AuditFilter,
-    ) -> impl Iterator<Item = &'a AuditRecord> + 'a {
-        self.records.iter().filter(|record| filter.matches(record))
+    /// Retained rows passing `filter`, oldest first.
+    pub fn iter_filtered<'f>(
+        &self,
+        filter: &'f AuditFilter,
+    ) -> impl Iterator<Item = AuditRecord> + 'f {
+        self.iter().filter(|record| filter.matches(record))
     }
 
-    /// Writes the retained records passing `filter` to `out` as JSON
-    /// lines (one object per record, oldest first). Returns the number
-    /// of records written.
+    /// Writes the retained rows passing `filter` to `out` as JSON
+    /// lines (one object per row, oldest first). Returns the number
+    /// of rows written.
     ///
     /// The encoding is hand-rolled — every field is numeric, an enum
     /// tag, or absent, so no escaping is needed and the core crate
@@ -315,103 +249,55 @@ impl AuditLog {
     pub fn write_jsonl<W: Write>(&self, out: &mut W, filter: &AuditFilter) -> io::Result<u64> {
         let mut written = 0;
         for record in self.iter_filtered(filter) {
-            out.write_all(jsonl_line(record).as_bytes())?;
+            out.write_all(jsonl_line(&record).as_bytes())?;
             out.write_all(b"\n")?;
             written += 1;
         }
         Ok(written)
     }
 
-    /// Number of retained records.
+    /// Number of retained rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.recorder.len()
     }
 
     /// True if nothing is retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.recorder.is_empty()
     }
 
-    /// Total requests ever recorded (including evicted ones).
+    /// Total decisions ever recorded (including evicted ones).
     #[must_use]
     pub fn total_recorded(&self) -> u64 {
-        self.next_seq
+        self.recorder.total_recorded()
     }
 
     /// Total permits ever recorded.
     #[must_use]
     pub fn permit_count(&self) -> u64 {
-        self.permits
+        self.recorder.permit_count()
     }
 
     /// Total denies ever recorded.
     #[must_use]
     pub fn deny_count(&self) -> u64 {
-        self.denies
+        self.recorder.deny_count()
     }
 
-    /// Records dropped from retention, whether by the ring buffer or by
-    /// [`clear`](Self::clear) (excludes records that were never
-    /// retained under a zero capacity). For a non-zero capacity,
-    /// `len() + evicted_count() == total_recorded()` always holds.
+    /// Rows dropped from retention: evicted by newer ones, or never
+    /// retained under a zero capacity. With no decision in flight,
+    /// `len() + evicted_count() == total_recorded()`.
     #[must_use]
     pub fn evicted_count(&self) -> u64 {
-        self.records.dropped()
+        self.recorder.dropped()
     }
 
-    /// The most recent record, if any is retained.
+    /// The most recent row, if any is retained.
     #[must_use]
-    pub fn last(&self) -> Option<&AuditRecord> {
-        self.records.iter().next_back()
-    }
-
-    /// Clears retained records. Counters keep their totals, and the
-    /// dropped records are added to [`evicted_count`](Self::evicted_count)
-    /// so retention accounting stays consistent.
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-}
-
-impl Serialize for AuditLog {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (
-                "records".to_owned(),
-                Value::Seq(self.records.iter().map(Serialize::to_value).collect()),
-            ),
-            ("capacity".to_owned(), self.records.capacity().to_value()),
-            ("next_seq".to_owned(), self.next_seq.to_value()),
-            ("permits".to_owned(), self.permits.to_value()),
-            ("denies".to_owned(), self.denies.to_value()),
-            ("evictions".to_owned(), self.records.dropped().to_value()),
-        ])
-    }
-}
-
-impl Deserialize for AuditLog {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| SerdeError::custom(format!("missing field `{name}`")))
-        };
-        let evictions = match value.get("evictions") {
-            Some(evictions) => u64::from_value(evictions)?,
-            None => 0,
-        };
-        Ok(Self {
-            records: Ring::restore(
-                usize::from_value(field("capacity")?)?,
-                evictions,
-                Vec::<AuditRecord>::from_value(field("records")?)?,
-            ),
-            next_seq: u64::from_value(field("next_seq")?)?,
-            permits: u64::from_value(field("permits")?)?,
-            denies: u64::from_value(field("denies")?)?,
-        })
+    pub fn last(&self) -> Option<AuditRecord> {
+        self.recorder.latest(1).first().map(AuditRecord::from)
     }
 }
 
@@ -460,15 +346,11 @@ fn jsonl_line(record: &AuditRecord) -> String {
     line
 }
 
-impl Default for AuditLog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degraded::EnvHealth;
+    use crate::engine::Actor;
 
     fn t(n: u64) -> TransactionId {
         TransactionId::from_raw(n)
@@ -477,235 +359,120 @@ mod tests {
         ObjectId::from_raw(n)
     }
 
-    #[test]
-    fn records_and_counters() {
-        let mut log = AuditLog::new();
-        let s0 = log.record(None, t(0), o(0), Effect::Permit, None, None, None);
-        let s1 = log.record(
+    /// Records one decision with the audit columns given and the rest
+    /// of the provenance left empty.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        recorder: &FlightRecorder,
+        decision_id: DecisionId,
+        subject: Option<SubjectId>,
+        transaction: TransactionId,
+        object: ObjectId,
+        effect: Effect,
+        winning_rule: Option<RuleId>,
+        timestamp: Option<u64>,
+        degraded: Option<DegradedReason>,
+    ) -> u64 {
+        recorder.record(effect, || ProvenanceRecord {
+            seq: 0,
+            writer: 0,
+            writer_seq: 0,
+            decision_id,
+            actor: Actor::Subject(subject.unwrap_or(SubjectId::from_raw(0))),
+            subject,
+            transaction,
+            object,
+            timestamp,
+            env_roles: Vec::new(),
+            env_hash: 0,
+            env_health: EnvHealth::Fresh,
+            generation: 0,
+            effect,
+            winning_rule,
+            matched_rules: Vec::new(),
+            subject_role_count: 0,
+            degraded,
+            stage_nanos: None,
+            total_nanos: None,
+        })
+    }
+
+    fn plain(recorder: &FlightRecorder, object: u64, effect: Effect) -> u64 {
+        record(
+            recorder,
+            DecisionId::UNASSIGNED,
             None,
             t(0),
-            o(1),
-            Effect::Deny,
-            Some(RuleId::from_raw(2)),
-            Some(7),
+            o(object),
+            effect,
             None,
-        );
-        assert_eq!((s0, s1), (0, 1));
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.permit_count(), 1);
-        assert_eq!(log.deny_count(), 1);
-        assert_eq!(log.total_recorded(), 2);
-        let last = log.last().unwrap();
-        assert_eq!(last.winning_rule, Some(RuleId::from_raw(2)));
-        assert_eq!(last.timestamp, Some(7));
+            None,
+            None,
+        )
     }
 
     #[test]
-    fn decision_ids_are_retained_queryable_and_exported() {
-        let mut log = AuditLog::new();
+    fn rows_mirror_the_recorder_and_counters() {
+        let recorder = FlightRecorder::new();
+        plain(&recorder, 0, Effect::Permit);
         let id = DecisionId::from_parts(7, 3);
-        log.record(None, t(0), o(0), Effect::Permit, None, None, None);
-        log.record_with_id(
+        record(
+            &recorder,
             id,
             Some(SubjectId::from_raw(1)),
             t(0),
             o(1),
             Effect::Deny,
-            None,
-            Some(9),
-            None,
+            Some(RuleId::from_raw(2)),
+            Some(7),
+            Some(DegradedReason::EnvUnavailable),
         );
-        assert_eq!(log.last().unwrap().decision_id, id);
-        assert_eq!(log.find_by_decision_id(id).unwrap().seq, 1);
-        assert!(log
+        let audit = AuditView::new(&recorder);
+        assert_eq!(audit.len(), 2);
+        assert_eq!(audit.permit_count(), 1);
+        assert_eq!(audit.deny_count(), 1);
+        assert_eq!(audit.total_recorded(), 2);
+        let last = audit.last().unwrap();
+        assert_eq!(last.seq, 1);
+        assert_eq!(last.decision_id, id);
+        assert_eq!(last.subject, Some(SubjectId::from_raw(1)));
+        assert_eq!(last.winning_rule, Some(RuleId::from_raw(2)));
+        assert_eq!(last.timestamp, Some(7));
+        assert_eq!(last.degraded, Some(DegradedReason::EnvUnavailable));
+        assert_eq!(audit.find_by_decision_id(id).unwrap().seq, 1);
+        assert!(audit
             .find_by_decision_id(DecisionId::from_parts(7, 4))
             .is_none());
-        assert!(log.find_by_decision_id(DecisionId::UNASSIGNED).is_none());
-
-        let mut buffer = Vec::new();
-        log.write_jsonl(&mut buffer, &AuditFilter::any()).unwrap();
-        let text = String::from_utf8(buffer).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(!lines[0].contains("decision_id"), "unassigned id omitted");
-        let second: serde_json::Value = serde_json::from_str(lines[1]).unwrap();
-        assert_eq!(
-            second.get("decision_id").and_then(|v| v.as_str()),
-            Some(id.to_string().as_str())
-        );
-
-        // Rows serialized before the field existed load as unassigned.
-        let json = serde_json::to_string(&log).unwrap();
-        let restored: AuditLog = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored.last().unwrap().decision_id, id);
+        assert!(audit.find_by_decision_id(DecisionId::UNASSIGNED).is_none());
     }
 
     #[test]
-    fn degraded_reason_is_retained_and_survives_serde() {
-        let mut log = AuditLog::new();
-        log.record(
-            None,
-            t(0),
-            o(0),
-            Effect::Deny,
-            None,
-            Some(12),
-            Some(DegradedReason::StaleRolesDropped {
-                age: 90,
-                dropped: 2,
-            }),
-        );
+    fn eviction_keeps_totals_and_numbering() {
+        let recorder = FlightRecorder::with_capacity(2);
+        plain(&recorder, 0, Effect::Permit);
+        plain(&recorder, 1, Effect::Permit);
+        assert_eq!(plain(&recorder, 2, Effect::Deny), 2);
+        let audit = AuditView::new(&recorder);
+        let rows: Vec<(u64, ObjectId)> = audit.iter().map(|r| (r.seq, r.object)).collect();
+        assert_eq!(rows, vec![(1, o(1)), (2, o(2))]);
+        assert_eq!(audit.total_recorded(), 3);
+        assert_eq!(audit.permit_count(), 2);
+        assert_eq!(audit.deny_count(), 1);
+        assert_eq!(audit.evicted_count(), 1);
         assert_eq!(
-            log.last().unwrap().degraded,
-            Some(DegradedReason::StaleRolesDropped {
-                age: 90,
-                dropped: 2
-            })
+            audit.len() as u64 + audit.evicted_count(),
+            audit.total_recorded()
         );
-
-        let json = serde_json::to_string(&log).unwrap();
-        let restored: AuditLog = serde_json::from_str(&json).unwrap();
-        assert_eq!(
-            restored.last().unwrap().degraded,
-            log.last().unwrap().degraded
-        );
-
-        // Records serialized before the field existed load as `None`.
-        let mut fresh = AuditLog::new();
-        fresh.record(None, t(0), o(0), Effect::Permit, None, None, None);
-        let legacy = serde_json::to_string(&fresh)
-            .unwrap()
-            .replace(",\"degraded\":null", "");
-        assert!(!legacy.contains("degraded"));
-        let restored: AuditLog = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(restored.last().unwrap().degraded, None);
-    }
-
-    #[test]
-    fn ring_buffer_evicts_oldest() {
-        let mut log = AuditLog::with_capacity(2);
-        log.record(None, t(0), o(0), Effect::Permit, None, None, None);
-        log.record(None, t(0), o(1), Effect::Permit, None, None, None);
-        log.record(None, t(0), o(2), Effect::Deny, None, None, None);
-        assert_eq!(log.len(), 2);
-        let objects: Vec<ObjectId> = log.iter().map(|r| r.object).collect();
-        assert_eq!(objects, vec![o(1), o(2)]);
-        // counters include evicted entries
-        assert_eq!(log.total_recorded(), 3);
-        assert_eq!(log.permit_count(), 2);
-        assert_eq!(log.evicted_count(), 1);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_totals_past_eviction() {
-        let mut log = AuditLog::with_capacity(2);
-        log.record(None, t(0), o(0), Effect::Permit, None, None, None);
-        log.record(None, t(0), o(1), Effect::Deny, None, Some(3), None);
-        log.record(
-            None,
-            t(1),
-            o(2),
-            Effect::Permit,
-            Some(RuleId::from_raw(1)),
-            Some(4),
-            None,
-        );
-        assert_eq!(log.evicted_count(), 1);
-
-        let json = serde_json::to_string(&log).unwrap();
-        let restored: AuditLog = serde_json::from_str(&json).unwrap();
-
-        // Retained records survive verbatim…
-        assert_eq!(restored.len(), 2);
-        assert_eq!(
-            restored.iter().collect::<Vec<_>>(),
-            log.iter().collect::<Vec<_>>()
-        );
-        // …and so do the running totals the records alone cannot carry.
-        assert_eq!(restored.total_recorded(), 3);
-        assert_eq!(restored.permit_count(), 2);
-        assert_eq!(restored.deny_count(), 1);
-        assert_eq!(restored.evicted_count(), 1);
-        // Sequence numbering continues where the original left off.
-        let mut restored = restored;
-        assert_eq!(
-            restored.record(None, t(0), o(0), Effect::Deny, None, None, None),
-            3
-        );
-    }
-
-    /// The on-disk format, pinned: a capacity-2 log that recorded three
-    /// rows and evicted one, exactly as the log serialized it before its
-    /// records moved onto a [`Ring`]. Loading it must restore the rows,
-    /// the totals the rows cannot carry, and the sequence to continue
-    /// from; writing it back must reproduce the same bytes.
-    #[test]
-    fn loads_the_pinned_wrapped_format() {
-        const WRAPPED: &str = concat!(
-            r#"{"records":[{"seq":1,"decision_id":{"epoch":0,"seq":0},"subject":null,"#,
-            r#""transaction":0,"object":1,"effect":"Deny","winning_rule":null,"timestamp":3,"#,
-            r#""degraded":null},{"seq":2,"decision_id":{"epoch":0,"seq":0},"subject":null,"#,
-            r#""transaction":1,"object":2,"effect":"Permit","winning_rule":1,"timestamp":4,"#,
-            r#""degraded":null}],"capacity":2,"next_seq":3,"permits":2,"denies":1,"evictions":1}"#,
-        );
-        let mut log: AuditLog = serde_json::from_str(WRAPPED).unwrap();
-        let rows: Vec<_> = log
-            .iter()
-            .map(|r| (r.seq, r.object, r.effect, r.winning_rule, r.timestamp))
-            .collect();
-        assert_eq!(
-            rows,
-            vec![
-                (1, o(1), Effect::Deny, None, Some(3)),
-                (2, o(2), Effect::Permit, Some(RuleId::from_raw(1)), Some(4)),
-            ]
-        );
-        assert_eq!(log.total_recorded(), 3);
-        assert_eq!(log.permit_count(), 2);
-        assert_eq!(log.deny_count(), 1);
-        assert_eq!(log.evicted_count(), 1);
-        assert_eq!(serde_json::to_string(&log).unwrap(), WRAPPED);
-        assert_eq!(
-            log.record(None, t(0), o(0), Effect::Deny, None, None, None),
-            3
-        );
-        assert_eq!(log.evicted_count(), 2);
-    }
-
-    #[test]
-    fn zero_capacity_counts_without_retaining() {
-        let mut log = AuditLog::with_capacity(0);
-        log.record(None, t(0), o(0), Effect::Deny, None, None, None);
-        assert!(log.is_empty());
-        assert_eq!(log.deny_count(), 1);
-        assert_eq!(log.total_recorded(), 1);
-    }
-
-    #[test]
-    fn clear_keeps_totals() {
-        let mut log = AuditLog::new();
-        log.record(None, t(0), o(0), Effect::Permit, None, None, None);
-        log.clear();
-        assert!(log.is_empty());
-        assert_eq!(log.total_recorded(), 1);
-    }
-
-    #[test]
-    fn clear_counts_as_eviction() {
-        let mut log = AuditLog::with_capacity(4);
-        log.record(None, t(0), o(0), Effect::Permit, None, None, None);
-        log.record(None, t(0), o(1), Effect::Deny, None, None, None);
-        log.clear();
-        assert_eq!(log.evicted_count(), 2);
-        log.record(None, t(0), o(2), Effect::Permit, None, None, None);
-        // retained + evicted always accounts for every record.
-        assert_eq!(log.len() as u64 + log.evicted_count(), log.total_recorded());
     }
 
     #[test]
     fn filter_matches_conjunctively() {
-        let mut log = AuditLog::new();
+        let recorder = FlightRecorder::new();
         let alice = SubjectId::from_raw(1);
-        log.record(
+        let id = DecisionId::UNASSIGNED;
+        record(
+            &recorder,
+            id,
             Some(alice),
             t(0),
             o(0),
@@ -714,9 +481,31 @@ mod tests {
             Some(10),
             None,
         );
-        log.record(Some(alice), t(0), o(1), Effect::Deny, None, Some(20), None);
-        log.record(None, t(1), o(0), Effect::Deny, None, None, None);
-        log.record(
+        record(
+            &recorder,
+            id,
+            Some(alice),
+            t(0),
+            o(1),
+            Effect::Deny,
+            None,
+            Some(20),
+            None,
+        );
+        record(
+            &recorder,
+            id,
+            None,
+            t(1),
+            o(0),
+            Effect::Deny,
+            None,
+            None,
+            None,
+        );
+        record(
+            &recorder,
+            id,
             Some(alice),
             t(1),
             o(0),
@@ -725,14 +514,15 @@ mod tests {
             Some(30),
             Some(DegradedReason::EnvUnavailable),
         );
+        let audit = AuditView::new(&recorder);
 
-        assert_eq!(log.iter_filtered(&AuditFilter::any()).count(), 4);
+        assert_eq!(audit.iter_filtered(&AuditFilter::any()).count(), 4);
 
         let mine = AuditFilter {
             subject: Some(alice),
             ..AuditFilter::any()
         };
-        assert_eq!(log.iter_filtered(&mine).count(), 3);
+        assert_eq!(audit.iter_filtered(&mine).count(), 3);
 
         let denied_late = AuditFilter {
             effect: Some(Effect::Deny),
@@ -740,33 +530,39 @@ mod tests {
             ..AuditFilter::any()
         };
         // The untimed deny never matches a time bound.
-        assert_eq!(log.iter_filtered(&denied_late).count(), 2);
+        assert_eq!(audit.iter_filtered(&denied_late).count(), 2);
 
         let degraded = AuditFilter {
             degraded_kind: Some("env_unavailable".into()),
             ..AuditFilter::any()
         };
-        let hits: Vec<u64> = log.iter_filtered(&degraded).map(|r| r.seq).collect();
+        let hits: Vec<u64> = audit.iter_filtered(&degraded).map(|r| r.seq).collect();
         assert_eq!(hits, vec![3]);
 
         let wrong_kind = AuditFilter {
             degraded_kind: Some("stale_decayed".into()),
             ..AuditFilter::any()
         };
-        assert_eq!(log.iter_filtered(&wrong_kind).count(), 0);
+        assert_eq!(audit.iter_filtered(&wrong_kind).count(), 0);
 
         let window = AuditFilter {
             since: Some(10),
             until: Some(20),
             ..AuditFilter::any()
         };
-        assert_eq!(log.iter_filtered(&window).count(), 2);
+        assert_eq!(audit.iter_filtered(&window).count(), 2);
     }
 
+    /// The export format, pinned byte for byte: one object per row,
+    /// unassigned ids and absent fields omitted, degraded reasons
+    /// inlined with their kind.
     #[test]
-    fn jsonl_export_is_valid_json_lines() {
-        let mut log = AuditLog::new();
-        log.record(
+    fn jsonl_export_is_pinned() {
+        let recorder = FlightRecorder::new();
+        let id = DecisionId::from_parts(7, 3);
+        record(
+            &recorder,
+            id,
             Some(SubjectId::from_raw(5)),
             t(2),
             o(3),
@@ -775,7 +571,9 @@ mod tests {
             Some(42),
             None,
         );
-        log.record(
+        record(
+            &recorder,
+            DecisionId::UNASSIGNED,
             None,
             t(2),
             o(3),
@@ -784,31 +582,20 @@ mod tests {
             None,
             Some(DegradedReason::StaleRolesDropped { age: 9, dropped: 1 }),
         );
+        let audit = AuditView::new(&recorder);
         let mut buffer = Vec::new();
-        let written = log.write_jsonl(&mut buffer, &AuditFilter::any()).unwrap();
+        let written = audit.write_jsonl(&mut buffer, &AuditFilter::any()).unwrap();
         assert_eq!(written, 2);
-        let text = String::from_utf8(buffer).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        // Every line parses back as a JSON object with the raw ids.
-        let uint = |v: &serde_json::Value, key: &str| match v.get(key) {
-            Some(serde_json::Value::UInt(n)) => Some(*n),
-            Some(serde_json::Value::Int(n)) => u64::try_from(*n).ok(),
-            _ => None,
-        };
-        let first: serde_json::Value = serde_json::from_str(lines[0]).unwrap();
-        assert_eq!(uint(&first, "subject"), Some(5));
-        assert_eq!(first.get("effect").and_then(|v| v.as_str()), Some("permit"));
-        assert_eq!(uint(&first, "winning_rule"), Some(7));
-        assert_eq!(uint(&first, "timestamp"), Some(42));
-        let second: serde_json::Value = serde_json::from_str(lines[1]).unwrap();
-        let degraded = second.get("degraded").unwrap();
-        assert_eq!(
-            degraded.get("kind").and_then(|v| v.as_str()),
-            Some("stale_roles_dropped")
+        let expected = format!(
+            "{{\"seq\":0,\"decision_id\":\"{id}\",\"subject\":5,\"transaction\":2,\"object\":3,\
+             \"effect\":\"permit\",\"winning_rule\":7,\"timestamp\":42}}\n\
+             {{\"seq\":1,\"transaction\":2,\"object\":3,\"effect\":\"deny\",\
+             \"degraded\":{{\"kind\":\"stale_roles_dropped\",\"age\":9,\"dropped\":1}}}}\n"
         );
-        assert_eq!(uint(degraded, "dropped"), Some(1));
-        assert!(second.get("subject").is_none());
+        assert_eq!(String::from_utf8(buffer).unwrap(), expected);
+        for line in expected.lines() {
+            serde_json::from_str::<serde_json::Value>(line).expect("each line is JSON");
+        }
 
         // Filters apply to the export too.
         let mut buffer = Vec::new();
@@ -816,15 +603,6 @@ mod tests {
             degraded_only: true,
             ..AuditFilter::any()
         };
-        assert_eq!(log.write_jsonl(&mut buffer, &filter).unwrap(), 1);
-    }
-
-    #[test]
-    fn sequence_numbers_survive_eviction() {
-        let mut log = AuditLog::with_capacity(1);
-        log.record(None, t(0), o(0), Effect::Permit, None, None, None);
-        let seq = log.record(None, t(0), o(1), Effect::Permit, None, None, None);
-        assert_eq!(seq, 1);
-        assert_eq!(log.last().unwrap().seq, 1);
+        assert_eq!(audit.write_jsonl(&mut buffer, &filter).unwrap(), 1);
     }
 }

@@ -56,7 +56,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::assignment::Assignments;
-use crate::audit::AuditLog;
+use crate::audit::AuditView;
 use crate::confidence::{AuthContext, Confidence};
 use crate::degraded::{DegradedMode, DegradedPosture, DegradedReason, EnvHealth};
 use crate::delta::{DeltaLog, PolicyDelta};
@@ -103,7 +103,7 @@ pub struct AccessRequest {
     pub object: ObjectId,
     /// The environment roles active at request time.
     pub environment: EnvironmentSnapshot,
-    /// Optional timestamp for the audit log (virtual seconds).
+    /// Optional timestamp for the decision log (virtual seconds).
     pub timestamp: Option<u64>,
     /// Freshness of the environment snapshot, as reported by the
     /// sensing layer. Anything other than [`EnvHealth::Fresh`] engages
@@ -168,7 +168,7 @@ impl AccessRequest {
         }
     }
 
-    /// Attaches an audit timestamp (builder style).
+    /// Attaches a decision-log timestamp (builder style).
     #[must_use]
     pub fn at(mut self, timestamp: u64) -> Self {
         self.timestamp = Some(timestamp);
@@ -199,7 +199,12 @@ pub struct Grbac {
     strategy: ConflictStrategy,
     default_effect: Effect,
     default_min_confidence: Confidence,
-    audit: AuditLog,
+    /// The decision log: every mediated decision's provenance record
+    /// plus exact permit/deny totals. Serialized with the engine; engine
+    /// JSON saved without it loads with an empty log. Shared by engine
+    /// clones and `decide_batch` workers like the registry.
+    #[serde(default, with = "shared_recorder")]
+    recorder: Arc<FlightRecorder>,
     /// Degraded-mode policy: staleness budgets and the posture applied
     /// when a request's environment snapshot is not fresh (defaults to
     /// fail-closed with zero budget).
@@ -229,17 +234,29 @@ pub struct Grbac {
     /// `EnvironmentRoleProvider::attach_metrics`.
     #[serde(skip)]
     metrics: Arc<MetricsRegistry>,
-    /// Decision flight recorder (operational state — never serialized;
-    /// a deserialized engine starts with an empty ring). Shared by
-    /// engine clones and `decide_batch` workers like the registry.
-    #[serde(skip)]
-    recorder: Arc<FlightRecorder>,
     /// Correlation-id mint (operational state — never serialized; a
     /// deserialized engine draws a fresh epoch, so ids from different
     /// engine lifetimes never collide). Shared by engine clones and
     /// `decide_batch` workers like the registry and the recorder.
     #[serde(skip)]
     decision_ids: Arc<DecisionIdMint>,
+}
+
+/// Serde adapter for the shared recorder: the `Arc` is transparent.
+mod shared_recorder {
+    use std::sync::Arc;
+
+    use serde::{Deserialize, Error, Serialize, Value};
+
+    use crate::provenance::FlightRecorder;
+
+    pub(super) fn to_value(recorder: &Arc<FlightRecorder>) -> Value {
+        recorder.to_value()
+    }
+
+    pub(super) fn from_value(value: &Value) -> Result<Arc<FlightRecorder>, Error> {
+        FlightRecorder::from_value(value).map(Arc::new)
+    }
 }
 
 impl Default for Grbac {
@@ -266,14 +283,13 @@ impl Grbac {
             strategy: ConflictStrategy::default(),
             default_effect: Effect::Deny,
             default_min_confidence: Confidence::FULL,
-            audit: AuditLog::new(),
+            recorder: Arc::new(FlightRecorder::new()),
             degraded: DegradedMode::default(),
             delegation: crate::delegation::DelegationState::default(),
             generation: 0,
             deltas: DeltaLog::default(),
             index: IndexCell::default(),
             metrics: Arc::new(MetricsRegistry::new()),
-            recorder: Arc::new(FlightRecorder::new()),
             decision_ids: Arc::new(DecisionIdMint::new()),
         }
     }
@@ -757,13 +773,13 @@ impl Grbac {
     ///
     /// let env = EnvironmentSnapshot::from_active([daytime]);
     /// let fresh = AccessRequest::by_subject(alice, play, ball, env.clone());
-    /// assert!(g.check(&fresh)?.is_permitted());
+    /// assert!(g.decide(&fresh)?.is_permitted());
     ///
     /// // An hour-old snapshot is over budget: roles drop, access denies,
     /// // and the decision says why.
     /// let stale = AccessRequest::by_subject(alice, play, ball, env)
     ///     .with_env_health(EnvHealth::Stale { age: 3_600 });
-    /// let decision = g.check(&stale)?;
+    /// let decision = g.decide(&stale)?;
     /// assert!(!decision.is_permitted());
     /// assert!(decision.is_degraded());
     /// # Ok::<(), grbac_core::error::GrbacError>(())
@@ -812,16 +828,11 @@ impl Grbac {
         &self.sessions
     }
 
-    /// The audit log.
+    /// The audit view of the decision log: who was granted what, and
+    /// when, read from the [flight recorder](Self::flight_recorder).
     #[must_use]
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
-    }
-
-    /// Clears retained audit records (totals are preserved).
-    pub fn clear_audit(&mut self) {
-        self.audit.clear();
-        self.sync_audit_gauges();
+    pub fn audit(&self) -> AuditView<'_> {
+        AuditView::new(&self.recorder)
     }
 
     /// The engine's telemetry registry.
@@ -841,10 +852,10 @@ impl Grbac {
         self.metrics = metrics;
     }
 
-    /// The decision flight recorder: every mediated decision
-    /// ([`decide`](Self::decide), [`decide_traced`](Self::decide_traced),
-    /// [`decide_batch`](Self::decide_batch), and the [`check`](Self::check)
-    /// family on top of them) appends a
+    /// The decision flight recorder, the engine's one decision log:
+    /// every mediated decision ([`decide`](Self::decide),
+    /// [`decide_traced`](Self::decide_traced),
+    /// [`decide_batch`](Self::decide_batch)) appends a
     /// [`ProvenanceRecord`] here. Engine clones and batch workers share
     /// the same ring. The reference path
     /// ([`decide_naive`](Self::decide_naive)) never records, so
@@ -855,8 +866,8 @@ impl Grbac {
     }
 
     /// Replaces the flight recorder with a fresh one of the given
-    /// capacity (0 disables provenance recording). Existing records
-    /// stay in the old ring — clone the `Arc` from
+    /// capacity (0 keeps the totals but retains no record). Existing
+    /// records and totals stay in the old ring — clone the `Arc` from
     /// [`flight_recorder`](Self::flight_recorder) first to keep them.
     /// Engine clones made before this call keep recording into the old
     /// ring.
@@ -884,6 +895,14 @@ impl Grbac {
     /// snapshots with [`MetricsSnapshot::delta`].
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.metrics
+            .audit_permit_total
+            .set(self.recorder.permit_count());
+        self.metrics
+            .audit_deny_total
+            .set(self.recorder.deny_count());
+        self.metrics.audit_evictions.set(self.recorder.dropped());
+        self.metrics.audit_retained.set(self.recorder.len() as u64);
         self.metrics.snapshot_with_labels(
             |raw| {
                 self.entities
@@ -913,19 +932,6 @@ impl Grbac {
     #[must_use]
     pub fn heat_snapshot(&self) -> crate::telemetry::RuleHeatSnapshot {
         self.metrics.rule_heat.snapshot()
-    }
-
-    /// Mirrors the audit log's running totals into the registry's
-    /// gauges, so exporters see audit state that survives eviction and
-    /// [`clear_audit`](Self::clear_audit) just like the log's own
-    /// counters do.
-    fn sync_audit_gauges(&self) {
-        self.metrics
-            .audit_permit_total
-            .set(self.audit.permit_count());
-        self.metrics.audit_deny_total.set(self.audit.deny_count());
-        self.metrics.audit_evictions.set(self.audit.evicted_count());
-        self.metrics.audit_retained.set(self.audit.len() as u64);
     }
 
     // ------------------------------------------------------------------
@@ -1067,48 +1073,55 @@ impl Grbac {
         }
     }
 
-    /// Appends one decision to the flight recorder (no-op when the
-    /// recorder capacity is 0).
+    /// Appends one decision to the flight recorder (at capacity 0 it is
+    /// only counted; no record is built).
     fn record_provenance(
         &self,
         request: &AccessRequest,
         decision: &Decision,
         trace: Option<&DecisionTrace>,
     ) {
-        if !self.recorder.is_enabled() {
-            return;
-        }
-        let explanation = decision.explanation();
-        let stage_nanos = trace.map(|trace| {
-            let mut nanos = [0u64; 5];
-            for record in &trace.stages {
-                if let Some(slot) = Stage::ALL.iter().position(|&s| s == record.stage) {
-                    nanos[slot] = record.nanos;
+        self.recorder.record(decision.effect(), || {
+            let explanation = decision.explanation();
+            let stage_nanos = trace.map(|trace| {
+                let mut nanos = [0u64; 5];
+                for record in &trace.stages {
+                    if let Some(slot) = Stage::ALL.iter().position(|&s| s == record.stage) {
+                        nanos[slot] = record.nanos;
+                    }
                 }
+                nanos
+            });
+            let subject = match &request.actor {
+                // The decide succeeded, so the session exists.
+                Actor::Session(s) => self.sessions.session(*s).ok().map(|sess| sess.subject()),
+                Actor::Subject(s) => Some(*s),
+                Actor::Sensed(ctx) => ctx.identity().map(|(s, _)| s),
+            };
+            ProvenanceRecord {
+                // seq / writer / writer_seq are assigned by the recorder.
+                seq: 0,
+                writer: 0,
+                writer_seq: 0,
+                decision_id: decision.decision_id(),
+                actor: request.actor.clone(),
+                subject,
+                transaction: request.transaction,
+                object: request.object,
+                timestamp: request.timestamp,
+                env_roles: request.environment.active().iter().copied().collect(),
+                env_hash: env_fingerprint(&request.environment),
+                env_health: request.env_health,
+                generation: self.generation,
+                effect: decision.effect(),
+                winning_rule: decision.winning_rule(),
+                matched_rules: explanation.matched.iter().map(|m| m.rule).collect(),
+                subject_role_count: u32::try_from(explanation.subject_roles.len())
+                    .unwrap_or(u32::MAX),
+                degraded: decision.degraded().copied(),
+                stage_nanos,
+                total_nanos: trace.map(|trace| trace.total_nanos),
             }
-            nanos
-        });
-        self.recorder.record(ProvenanceRecord {
-            // seq / writer / writer_seq are assigned by the recorder.
-            seq: 0,
-            writer: 0,
-            writer_seq: 0,
-            decision_id: decision.decision_id(),
-            actor: request.actor.clone(),
-            transaction: request.transaction,
-            object: request.object,
-            timestamp: request.timestamp,
-            env_roles: request.environment.active().iter().copied().collect(),
-            env_hash: env_fingerprint(&request.environment),
-            env_health: request.env_health,
-            generation: self.generation,
-            effect: decision.effect(),
-            winning_rule: decision.winning_rule(),
-            matched_rules: explanation.matched.iter().map(|m| m.rule).collect(),
-            subject_role_count: u32::try_from(explanation.subject_roles.len()).unwrap_or(u32::MAX),
-            degraded: decision.degraded().copied(),
-            stage_nanos,
-            total_nanos: trace.map(|trace| trace.total_nanos),
         });
     }
 
@@ -1551,63 +1564,15 @@ impl Grbac {
         .with_degraded(degraded_reason))
     }
 
-    /// Mediates a request and records the outcome in the audit log.
+    /// A synonym of [`decide`](Self::decide): every decide is audited.
+    /// Kept only because the benchmark ladder (`perfbench/src/ladder.rs`)
+    /// still times it as its `engine.check` rung.
     ///
     /// # Errors
     ///
     /// Same as [`decide`](Self::decide).
-    pub fn check(&mut self, request: &AccessRequest) -> Result<Decision> {
-        let decision = self.decide(request)?;
-        let subject = match &request.actor {
-            Actor::Session(s) => Some(self.sessions.session(*s)?.subject()),
-            Actor::Subject(s) => Some(*s),
-            Actor::Sensed(ctx) => ctx.identity().map(|(s, _)| s),
-        };
-        self.audit.record_with_id(
-            decision.decision_id(),
-            subject,
-            request.transaction,
-            request.object,
-            decision.effect(),
-            decision.winning_rule(),
-            request.timestamp,
-            decision.degraded().copied(),
-        );
-        self.sync_audit_gauges();
-        Ok(decision)
-    }
-
-    /// Mediates a batch and records every successful decision in the
-    /// audit log, in request order — the batched equivalent of calling
-    /// [`check`](Self::check) per request. Audit records, sequence
-    /// numbers and metrics come out identical to the sequential path
-    /// (including under the `parallel` feature: decision metrics are
-    /// atomics updated by the workers, audit records are appended in
-    /// request order afterwards).
-    pub fn check_batch(&mut self, requests: &[AccessRequest]) -> Vec<Result<Decision>> {
-        let decisions = self.decide_batch(requests);
-        for (request, result) in requests.iter().zip(&decisions) {
-            if let Ok(decision) = result {
-                let subject = match &request.actor {
-                    // The decide succeeded, so the session exists.
-                    Actor::Session(s) => self.sessions.session(*s).ok().map(|sess| sess.subject()),
-                    Actor::Subject(s) => Some(*s),
-                    Actor::Sensed(ctx) => ctx.identity().map(|(s, _)| s),
-                };
-                self.audit.record_with_id(
-                    decision.decision_id(),
-                    subject,
-                    request.transaction,
-                    request.object,
-                    decision.effect(),
-                    decision.winning_rule(),
-                    request.timestamp,
-                    decision.degraded().copied(),
-                );
-            }
-        }
-        self.sync_audit_gauges();
-        decisions
+    pub fn check(&self, request: &AccessRequest) -> Result<Decision> {
+        self.decide(request)
     }
 
     /// Renders a decision as plain language with all ids resolved to
@@ -2160,12 +2125,12 @@ mod tests {
     }
 
     #[test]
-    fn check_records_audit() {
-        let (mut g, f) = section51();
+    fn decide_records_audit() {
+        let (g, f) = section51();
         let env = EnvironmentSnapshot::from_active([f.weekdays, f.free_time]);
-        g.check(&AccessRequest::by_subject(f.bobby, f.use_t, f.tv, env.clone()).at(42))
+        g.decide(&AccessRequest::by_subject(f.bobby, f.use_t, f.tv, env.clone()).at(42))
             .unwrap();
-        g.check(&AccessRequest::by_subject(f.mom, f.use_t, f.tv, env))
+        g.decide(&AccessRequest::by_subject(f.mom, f.use_t, f.tv, env))
             .unwrap();
         assert_eq!(g.audit().permit_count(), 1);
         assert_eq!(g.audit().deny_count(), 1);

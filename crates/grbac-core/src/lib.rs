@@ -71,10 +71,10 @@
 //! | [`engine`] | §4.2.4 | the mediation algorithm |
 //! | [`explain`] | §3 (usability) | decisions with full explanations |
 //! | [`analysis`] | §4.2.4 | conflict/shadowing/dead-role detection |
-//! | [`audit`] | §3 | bounded decision log |
+//! | [`audit`] | §3 | audit rows and filters: a read-only view of the decision log |
 //! | [`degraded`] | §3 (availability) | fail-safe postures for stale/absent environment data |
 //! | [`telemetry`] | §3 (operability) | metrics registry, decision traces, quantile sketches, exporters |
-//! | [`provenance`] | §3 (explainability) | decision flight recorder, forensic query + replay |
+//! | [`provenance`] | §3 (explainability) | the decision log (flight recorder), forensic query + replay |
 //! | [`ring`] | §3 (operability) | the bounded drop-oldest rings every retained log uses |
 
 #![forbid(unsafe_code)]

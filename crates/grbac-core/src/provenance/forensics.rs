@@ -27,7 +27,7 @@ use super::recorder::ProvenanceRecord;
 /// semantics plus provenance-only predicates.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ForensicQuery {
-    /// Field filter shared with [`AuditLog`](crate::audit::AuditLog)
+    /// Field filter shared with [`AuditView`](crate::audit::AuditView)
     /// queries.
     pub filter: AuditFilter,
     /// Match only records that carry stage timings (latency-sampled or
@@ -44,16 +44,16 @@ impl ForensicQuery {
 
     /// Whether a record passes the query.
     ///
-    /// The subject filter matches through
-    /// [`ProvenanceRecord::subject`]: open-session records carry no
-    /// subject identity and therefore never match a subject filter.
+    /// The subject filter matches [`ProvenanceRecord::subject`], the
+    /// subject resolved at decision time, so open-session records match
+    /// their session's subject.
     #[must_use]
     pub fn matches(&self, record: &ProvenanceRecord) -> bool {
         if self.traced_only && !record.is_traced() {
             return false;
         }
         self.filter.matches_parts(
-            record.subject(),
+            record.subject,
             record.transaction,
             record.object,
             record.effect,
@@ -242,7 +242,7 @@ pub fn replay_all(
 }
 
 /// Everything one correlation id resolves to: the flight-recorder
-/// record, a fresh reference replay of it, and the audit row — the
+/// record, a fresh reference replay of it, and its audit row — the
 /// "full story" of a single decision, joined on its [`DecisionId`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionStory {
@@ -253,46 +253,37 @@ pub struct DecisionStory {
     /// A reference-path replay of the record against the engine's
     /// *current* policy, when the policy can still express the request.
     pub replay: Option<ReplayReport>,
-    /// The audit row the decision produced, if still retained by the
-    /// audit ring (open-session decisions never write one).
+    /// The record's audit row. Every story the engine resolves has one
+    /// (the row is a view of the record); the `Option` keeps the
+    /// story's JSON shape.
     pub audit: Option<AuditRecord>,
 }
 
 impl DecisionStory {
-    /// True when every resolved source agrees structurally: the audit
-    /// row (if present) carries the same effect and winning rule as
-    /// the provenance record, and the replay (if it ran) started from
-    /// the recorded effect. A `false` localizes an evidence
-    /// inconsistency — eviction races aside, the three stores should
-    /// never disagree about one id.
+    /// True when the replay (if it ran) started from the recorded
+    /// effect. A `false` localizes an evidence inconsistency.
     #[must_use]
     pub fn agrees(&self) -> bool {
-        let audit_agrees = self.audit.as_ref().is_none_or(|row| {
-            row.effect == self.record.effect && row.winning_rule == self.record.winning_rule
-        });
-        let replay_agrees = self
-            .replay
+        self.replay
             .as_ref()
-            .is_none_or(|report| report.recorded_effect == self.record.effect);
-        audit_agrees && replay_agrees
+            .is_none_or(|report| report.recorded_effect == self.record.effect)
     }
 }
 
 /// Resolves everything `engine` still knows about one decision id:
 /// finds the flight-recorder record minted under `decision_id`, replays
-/// it through the reference path, and joins the audit row. Returns
+/// it through the reference path, and derives its audit row. Returns
 /// `None` when the recorder no longer holds the id (ring eviction, or
 /// an id this engine never minted).
 #[must_use]
 pub fn decision_story(engine: &Grbac, decision_id: DecisionId) -> Option<DecisionStory> {
     let record = engine.flight_recorder().find(decision_id)?;
     let replay = replay(engine, &record).ok();
-    let audit = engine.audit().find_by_decision_id(decision_id).cloned();
     Some(DecisionStory {
         decision_id,
+        audit: Some(AuditRecord::from(&record)),
         record,
         replay,
-        audit,
     })
 }
 
@@ -503,6 +494,53 @@ mod tests {
         assert_eq!(early.select(&records).len(), 1);
     }
 
+    /// Session-mediated records carry their session's subject, so a
+    /// subject query finds them.
+    #[test]
+    fn subject_query_matches_session_decisions() {
+        let mut g = Grbac::new();
+        let child = g.declare_subject_role("child").unwrap();
+        let media = g.declare_object_role("media").unwrap();
+        let use_t = g.declare_transaction("use").unwrap();
+        let alice = g.declare_subject("alice").unwrap();
+        let bob = g.declare_subject("bob").unwrap();
+        g.assign_subject_role(alice, child).unwrap();
+        let tv = g.declare_object("tv").unwrap();
+        g.assign_object_role(tv, media).unwrap();
+        g.add_rule(
+            RuleDef::permit()
+                .subject_role(child)
+                .object_role(media)
+                .transaction(use_t),
+        )
+        .unwrap();
+        let session = g.open_session(alice).unwrap();
+        g.activate_role(session, child).unwrap();
+        let request = AccessRequest::by_session(session, use_t, tv, EnvironmentSnapshot::new());
+        assert!(g.decide(&request).unwrap().is_permitted());
+
+        let records = g.flight_recorder().snapshot();
+        let by_alice = ForensicQuery {
+            filter: AuditFilter {
+                subject: Some(alice),
+                ..AuditFilter::any()
+            },
+            ..ForensicQuery::any()
+        };
+        let hits = by_alice.select(&records);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].actor, Actor::Session(session));
+        assert_eq!(hits[0].subject, Some(alice));
+        let by_bob = ForensicQuery {
+            filter: AuditFilter {
+                subject: Some(bob),
+                ..AuditFilter::any()
+            },
+            ..ForensicQuery::any()
+        };
+        assert!(by_bob.select(&records).is_empty());
+    }
+
     #[test]
     fn decision_story_joins_record_replay_and_audit() {
         let (g, records) = recorded_engine();
@@ -513,9 +551,14 @@ mod tests {
         assert_eq!(story.record.seq, records[0].seq);
         let replay = story.replay.as_ref().expect("policy unchanged: replayable");
         assert!(replay.diff.is_clean());
-        // decide() bypasses the audit layer; the story says so honestly
-        // and still agrees structurally.
-        assert!(story.audit.is_none());
+        // Every decide is audited: the story carries the row, which
+        // is the record's audit columns.
+        let audit = story.audit.as_ref().expect("every decide has an audit row");
+        assert_eq!(audit.seq, records[0].seq);
+        assert_eq!(audit.decision_id, id);
+        assert_eq!(audit.effect, records[0].effect);
+        assert_eq!(audit.winning_rule, records[0].winning_rule);
+        assert_eq!(Some(audit), g.audit().find_by_decision_id(id).as_ref());
         assert!(story.agrees());
         // Ids nobody minted — and the unassigned sentinel — resolve to
         // nothing rather than somebody else's record.

@@ -5,16 +5,19 @@
 //! at 3am?" cannot be answered from policy text alone. This module is
 //! the historical layer over the live telemetry:
 //!
-//! * [`FlightRecorder`] — a bounded concurrent ring of
-//!   [`ProvenanceRecord`]s, fed by every mediated decision
-//!   (`decide`, `decide_traced`, `check_batch`), retaining the full
-//!   request, the matched rules, the policy generation, the environment
-//!   fingerprint and health, the degraded-mode annotation, and — for
-//!   latency-sampled or traced decisions — per-stage nanoseconds.
+//! * [`FlightRecorder`] — the engine's one decision log: a bounded
+//!   concurrent ring of [`ProvenanceRecord`]s with exact permit/deny
+//!   totals, fed by every mediated decision (`decide`, `decide_traced`,
+//!   `decide_batch`) and serialized with the engine. Each record keeps
+//!   the full request and its resolved subject, the matched rules, the
+//!   policy generation, the environment fingerprint and health, the
+//!   degraded-mode annotation, and — for latency-sampled or traced
+//!   decisions — per-stage nanoseconds. The
+//!   [`AuditView`](crate::audit::AuditView) reads it as audit rows.
 //! * forensics — queries over recorded decisions
 //!   ([`ForensicQuery`], sharing
 //!   [`AuditFilter`](crate::audit::AuditFilter) semantics with the
-//!   audit log), reference-grade **replay** of any record against the
+//!   audit view), reference-grade **replay** of any record against the
 //!   current or a historical policy ([`replay`],
 //!   [`replay_with_health`]), structural diffs ([`ReplayDiff`]), and
 //!   stage-level slow-query listing ([`slowest_stages`]).

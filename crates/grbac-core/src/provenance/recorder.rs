@@ -1,20 +1,24 @@
 //! The decision flight recorder: a bounded, concurrent ring buffer of
-//! [`ProvenanceRecord`]s.
+//! [`ProvenanceRecord`]s — the engine's one decision log.
 //!
 //! The recorder is a [`SlotRing`] — the crate's multi-producer
 //! drop-oldest ring (see [`crate::ring`]): a record claims its global
 //! sequence number with one lock-free `fetch_add`, the sequence masks
 //! to a slot, and the record is published under that slot's own
 //! mutex. Decide threads therefore never serialize on one lock, and the
-//! crate's `#![forbid(unsafe_code)]` stays intact.
+//! crate's `#![forbid(unsafe_code)]` stays intact. Exact permit/deny
+//! totals sit beside the ring and survive eviction; the audit view
+//! ([`AuditView`](crate::audit::AuditView)) reads both.
 //!
 //! Each record also carries a per-writer sequence number from the
 //! ring module's writer-id mint. A snapshot can therefore be audited
 //! for tears — per writer, the retained `writer_seq` values must be
 //! strictly increasing in global-sequence order — which the
-//! `prop_recorder` suite checks under concurrent `check_batch` writers.
+//! `prop_recorder` suite checks under concurrent `decide_batch` writers.
 
-use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 use crate::degraded::{DegradedReason, EnvHealth};
 use crate::engine::Actor;
@@ -60,6 +64,11 @@ pub struct ProvenanceRecord {
     /// The requester exactly as mediated (sessions, trusted subjects
     /// and sensed contexts alike), so the request can be rebuilt.
     pub actor: Actor,
+    /// The requesting subject, resolved at decision time: the trusted
+    /// subject, the sensed identity claim, or an open session's
+    /// subject. `None` for anonymous sensed requests.
+    #[serde(default)]
+    pub subject: Option<SubjectId>,
     /// The requested transaction.
     pub transaction: TransactionId,
     /// The target object.
@@ -95,18 +104,6 @@ pub struct ProvenanceRecord {
 }
 
 impl ProvenanceRecord {
-    /// The requesting subject, when the actor identifies one directly
-    /// (trusted subjects and sensed contexts with an identity; open
-    /// sessions would need the session table of the recording engine).
-    #[must_use]
-    pub fn subject(&self) -> Option<SubjectId> {
-        match &self.actor {
-            Actor::Subject(subject) => Some(*subject),
-            Actor::Sensed(context) => context.identity().map(|(subject, _)| subject),
-            Actor::Session(_) => None,
-        }
-    }
-
     /// True when the record carries stage timings.
     #[must_use]
     pub fn is_traced(&self) -> bool {
@@ -115,21 +112,26 @@ impl ProvenanceRecord {
 }
 
 /// A bounded multi-producer ring buffer of [`ProvenanceRecord`]s with
-/// drop-oldest semantics.
+/// drop-oldest semantics, plus exact permit/deny totals.
 ///
 /// See the [module docs](crate::provenance) for the concurrency
-/// design. A capacity
-/// of zero disables recording entirely ([`record`](Self::record)
-/// returns `None` without touching any state).
+/// design. A capacity of zero retains nothing but still counts every
+/// decision (the ring contract: each one is counted dropped).
+///
+/// Serialized as `{"capacity", "recorded", "permits", "records"}`: the
+/// retained records (oldest first) plus the totals they cannot carry.
+/// A reloaded recorder keeps its log, and sequence numbers continue
+/// where they stopped. Serialize a quiescent recorder: a snapshot taken
+/// under concurrent writers may miss in-flight records.
 #[derive(Debug)]
 pub struct FlightRecorder {
     ring: SlotRing<ProvenanceRecord>,
     writers: WriterSeqs,
+    permits: AtomicU64,
 }
 
 impl FlightRecorder {
-    /// Default retention when none is specified (matches the audit
-    /// log's default).
+    /// Default retention when none is specified.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
     /// Creates a recorder retaining the most recent `capacity` records;
@@ -140,6 +142,7 @@ impl FlightRecorder {
         Self {
             ring: SlotRing::with_capacity(capacity),
             writers: WriterSeqs::new(),
+            permits: AtomicU64::new(0),
         }
     }
 
@@ -149,31 +152,27 @@ impl FlightRecorder {
         Self::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// True when the recorder retains anything at all.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.capacity() > 0
-    }
-
-    /// Retention capacity (0 when disabled).
+    /// Retention capacity (0 when the recorder only counts).
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.ring.capacity()
     }
 
-    /// Records a decision, overwriting the oldest record once the ring
-    /// is full. The record's `seq`, `writer` and `writer_seq` fields
-    /// are assigned here. Returns the assigned global sequence number,
-    /// or `None` when the recorder is disabled.
-    pub fn record(&self, mut record: ProvenanceRecord) -> Option<u64> {
-        if !self.is_enabled() {
-            return None;
+    /// Counts one decision with outcome `effect` and, when the ring
+    /// retains anything, records `make()`, overwriting the oldest
+    /// record once the ring is full. The record's `seq`, `writer` and
+    /// `writer_seq` fields are assigned here; `make` is never called at
+    /// capacity 0. Returns the decision's global sequence number.
+    pub fn record(&self, effect: Effect, make: impl FnOnce() -> ProvenanceRecord) -> u64 {
+        if effect == Effect::Permit {
+            self.permits.fetch_add(1, Ordering::Relaxed);
         }
-        (record.writer, record.writer_seq) = self.writers.next();
-        Some(self.ring.push_with(|seq| {
+        self.ring.push_with(|seq| {
+            let mut record = make();
             record.seq = seq;
+            (record.writer, record.writer_seq) = self.writers.next();
             record
-        }))
+        })
     }
 
     /// Decisions ever recorded (including dropped ones).
@@ -182,19 +181,34 @@ impl FlightRecorder {
         self.ring.pushed()
     }
 
+    /// Permits ever recorded.
+    #[must_use]
+    pub fn permit_count(&self) -> u64 {
+        self.permits.load(Ordering::Relaxed)
+    }
+
+    /// Denies ever recorded.
+    #[must_use]
+    pub fn deny_count(&self) -> u64 {
+        // The permit count can run ahead of the ticket count while a
+        // permit is in flight.
+        self.total_recorded().saturating_sub(self.permit_count())
+    }
+
     /// Records currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
         self.ring.len()
     }
 
-    /// True when nothing has been recorded (or retention is disabled).
+    /// True when nothing is retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Records dropped by the ring so far.
+    /// Records dropped so far: evicted by newer ones, or never
+    /// retained at capacity 0. `len() + dropped() == total_recorded()`.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.ring.dropped()
@@ -235,6 +249,38 @@ impl FlightRecorder {
     }
 }
 
+impl Serialize for FlightRecorder {
+    fn to_value(&self) -> Value {
+        // Records first: a decision landing in between then shows in
+        // the totals only, never as a record the totals miss.
+        let records = self.snapshot();
+        Value::Map(vec![
+            ("capacity".to_owned(), self.capacity().to_value()),
+            ("recorded".to_owned(), self.total_recorded().to_value()),
+            ("permits".to_owned(), self.permit_count().to_value()),
+            ("records".to_owned(), records.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for FlightRecorder {
+    fn from_value(value: &Value) -> Result<Self, SerdeError> {
+        let field = |name: &str| {
+            value
+                .get(name)
+                .ok_or_else(|| SerdeError::custom(format!("missing field `{name}`")))
+        };
+        let records = Vec::<ProvenanceRecord>::from_value(field("records")?)?;
+        let recorded = u64::from_value(field("recorded")?)?;
+        let dropped = recorded.saturating_sub(records.len() as u64);
+        Ok(Self {
+            ring: SlotRing::restore(usize::from_value(field("capacity")?)?, dropped, records),
+            writers: WriterSeqs::new(),
+            permits: AtomicU64::new(u64::from_value(field("permits")?)?),
+        })
+    }
+}
+
 impl Default for FlightRecorder {
     fn default() -> Self {
         Self::new()
@@ -252,6 +298,7 @@ mod tests {
             writer_seq: 0,
             decision_id: DecisionId::from_parts(9, n + 1),
             actor: Actor::Subject(SubjectId::from_raw(n)),
+            subject: Some(SubjectId::from_raw(n)),
             transaction: TransactionId::from_raw(0),
             object: ObjectId::from_raw(n),
             timestamp: Some(n),
@@ -269,11 +316,25 @@ mod tests {
         }
     }
 
+    fn push(recorder: &FlightRecorder, record: ProvenanceRecord) -> u64 {
+        recorder.record(record.effect, || record)
+    }
+
+    /// A degraded deny, so serde round trips carry a reason too.
+    fn deny(n: u64) -> ProvenanceRecord {
+        ProvenanceRecord {
+            effect: Effect::Deny,
+            winning_rule: None,
+            degraded: Some(DegradedReason::StaleRolesDropped { age: n, dropped: 1 }),
+            ..sample(n)
+        }
+    }
+
     #[test]
     fn retains_the_most_recent_capacity_records() {
         let recorder = FlightRecorder::with_capacity(4);
         for n in 0..10 {
-            recorder.record(sample(n));
+            push(&recorder, sample(n));
         }
         assert_eq!(recorder.total_recorded(), 10);
         assert_eq!(recorder.len(), 4);
@@ -286,7 +347,7 @@ mod tests {
     fn writer_sequences_increase_per_writer() {
         let recorder = FlightRecorder::with_capacity(8);
         for n in 0..5 {
-            recorder.record(sample(n));
+            push(&recorder, sample(n));
         }
         let records = recorder.snapshot();
         // Single-threaded: one writer, whose private sequence advances
@@ -299,13 +360,69 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_recording() {
+    fn zero_capacity_counts_without_retaining() {
         let recorder = FlightRecorder::with_capacity(0);
-        assert!(!recorder.is_enabled());
-        assert_eq!(recorder.record(sample(0)), None);
-        assert_eq!(recorder.total_recorded(), 0);
+        assert_eq!(recorder.capacity(), 0);
+        assert_eq!(
+            recorder.record(Effect::Deny, || unreachable!("no record is built")),
+            0
+        );
+        assert_eq!(recorder.record(Effect::Permit, || unreachable!()), 1);
+        assert_eq!(recorder.total_recorded(), 2);
+        assert_eq!((recorder.permit_count(), recorder.deny_count()), (1, 1));
+        assert_eq!(recorder.dropped(), 2);
         assert!(recorder.snapshot().is_empty());
         assert!(recorder.is_empty());
+    }
+
+    #[test]
+    fn totals_survive_eviction() {
+        let recorder = FlightRecorder::with_capacity(2);
+        push(&recorder, sample(0));
+        push(&recorder, deny(1));
+        push(&recorder, sample(2));
+        push(&recorder, deny(3));
+        push(&recorder, deny(4));
+        assert_eq!(recorder.total_recorded(), 5);
+        assert_eq!((recorder.permit_count(), recorder.deny_count()), (2, 3));
+        assert_eq!((recorder.len(), recorder.dropped()), (2, 3));
+    }
+
+    #[test]
+    fn serde_round_trip_past_eviction_keeps_rows_totals_and_numbering() {
+        let recorder = FlightRecorder::with_capacity(2);
+        push(&recorder, sample(0));
+        push(&recorder, deny(1));
+        push(&recorder, sample(2));
+        assert_eq!(recorder.dropped(), 1);
+
+        let json = serde_json::to_string(&recorder).unwrap();
+        let restored: FlightRecorder = serde_json::from_str(&json).unwrap();
+
+        // Retained records survive verbatim…
+        assert_eq!(restored.capacity(), 2);
+        assert_eq!(restored.snapshot(), recorder.snapshot());
+        // …and so do the running totals the records alone cannot carry.
+        assert_eq!(restored.total_recorded(), 3);
+        assert_eq!((restored.permit_count(), restored.deny_count()), (2, 1));
+        assert_eq!((restored.len(), restored.dropped()), (2, 1));
+        // Sequence numbering continues where the original left off.
+        assert_eq!(push(&restored, deny(3)), 3);
+        let seqs: Vec<u64> = restored.snapshot().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![2, 3]);
+        assert_eq!(restored.dropped(), 2);
+    }
+
+    #[test]
+    fn serde_round_trip_at_zero_capacity_keeps_counting() {
+        let recorder = FlightRecorder::with_capacity(0);
+        recorder.record(Effect::Permit, || unreachable!());
+        let json = serde_json::to_string(&recorder).unwrap();
+        let restored: FlightRecorder = serde_json::from_str(&json).unwrap();
+        assert_eq!(restored.capacity(), 0);
+        assert_eq!((restored.total_recorded(), restored.dropped()), (1, 1));
+        assert_eq!(restored.record(Effect::Deny, || unreachable!()), 1);
+        assert_eq!((restored.permit_count(), restored.deny_count()), (1, 1));
     }
 
     #[test]
@@ -318,7 +435,7 @@ mod tests {
     fn latest_returns_the_tail() {
         let recorder = FlightRecorder::with_capacity(8);
         for n in 0..6 {
-            recorder.record(sample(n));
+            push(&recorder, sample(n));
         }
         let tail: Vec<u64> = recorder.latest(2).iter().map(|r| r.seq).collect();
         assert_eq!(tail, vec![4, 5]);
@@ -328,7 +445,7 @@ mod tests {
     fn find_resolves_retained_decision_ids_only() {
         let recorder = FlightRecorder::with_capacity(4);
         for n in 0..6 {
-            recorder.record(sample(n));
+            push(&recorder, sample(n));
         }
         // n = 5 is retained; n = 0 was evicted by drop-oldest.
         let hit = recorder

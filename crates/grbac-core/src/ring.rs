@@ -138,6 +138,9 @@ pub struct SlotRing<T> {
     slots: Box<[Slot<T>]>,
     mask: u64,
     next: AtomicU64,
+    /// Tickets below this were dropped before a [`restore`](Self::restore)
+    /// and never occupy a slot (0 for a fresh ring).
+    first: u64,
 }
 
 impl<T> SlotRing<T> {
@@ -154,7 +157,22 @@ impl<T> SlotRing<T> {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             mask: (capacity as u64).wrapping_sub(1),
             next: AtomicU64::new(0),
+            first: 0,
         }
+    }
+
+    /// A ring that already dropped `dropped` entries before `items`
+    /// (oldest first) were pushed — persisted state, reloaded. Tickets
+    /// continue from `dropped + items.len()`.
+    #[must_use]
+    pub fn restore(capacity: usize, dropped: u64, items: impl IntoIterator<Item = T>) -> Self {
+        let mut ring = Self::with_capacity(capacity);
+        ring.first = dropped;
+        *ring.next.get_mut() = dropped;
+        for item in items {
+            ring.push_with(|_| item);
+        }
+        ring
     }
 
     /// Claims the next ticket, publishes `make(ticket)` in its slot and
@@ -191,7 +209,7 @@ impl<T> SlotRing<T> {
     /// Entries retained once in-flight pushes publish.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pushed().min(self.capacity() as u64) as usize
+        (self.pushed() - self.first).min(self.capacity() as u64) as usize
     }
 
     /// True when nothing is retained.
@@ -200,10 +218,11 @@ impl<T> SlotRing<T> {
         self.len() == 0
     }
 
-    /// Entries overwritten by a newer lap, or refused at capacity 0.
+    /// Entries overwritten by a newer lap, refused at capacity 0, or
+    /// dropped before a [`restore`](Self::restore).
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.pushed().saturating_sub(self.capacity() as u64)
+        self.pushed() - self.len() as u64
     }
 }
 

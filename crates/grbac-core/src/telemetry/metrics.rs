@@ -431,11 +431,12 @@ pub struct MetricsRegistry {
     pub batch_calls: Counter,
     /// Requests per `decide_batch()` call.
     pub batch_size: Histogram,
-    /// Audit permits ever recorded (survives eviction and clears).
+    /// Audit permits ever recorded (survives eviction). Filled from the
+    /// decision log by `Grbac::metrics_snapshot`, like the next three.
     pub audit_permit_total: Gauge,
-    /// Audit denies ever recorded (survives eviction and clears).
+    /// Audit denies ever recorded (survives eviction).
     pub audit_deny_total: Gauge,
-    /// Audit records evicted by the ring buffer.
+    /// Audit records dropped from retention by the decision log.
     pub audit_evictions: Gauge,
     /// Audit records currently retained.
     pub audit_retained: Gauge,

@@ -2,14 +2,18 @@
 //!
 //! The paper's Aware Home assumes an always-on mediator serving a
 //! chatty sensor network; a production engine needs a window into that
-//! mediator beyond the bounded [`AuditLog`](crate::audit::AuditLog).
+//! mediator beyond the bounded decision log (the
+//! [flight recorder](crate::provenance::FlightRecorder) and its
+//! [audit view](crate::audit::AuditView)).
 //! This module provides that window with zero external dependencies:
 //!
 //! * [`MetricsRegistry`] — lock-cheap atomic counters, gauges and
 //!   fixed-bucket histograms covering the whole pipeline: decisions by
 //!   effect, per-transaction rule hits, compiled-index rebuilds (count
 //!   and nanoseconds), expansion-cache hits/misses, batch sizes, audit
-//!   totals and evictions, and the environment-provider counters that
+//!   totals and evictions (filled from the decision log by
+//!   [`Grbac::metrics_snapshot`](crate::engine::Grbac::metrics_snapshot)),
+//!   and the environment-provider counters that
 //!   `grbac-env` publishes into the same registry.
 //! * [`DecisionTrace`] — a stage-by-stage span model of one mediation
 //!   (subject-role expansion → object-role expansion → environment
@@ -23,7 +27,7 @@
 //!   [`SlotRing`](crate::ring::SlotRing)s with counted evictions and a
 //!   runtime sampling rate. Engine-call spans are stamped with the
 //!   decision's [`DecisionId`](crate::id::DecisionId), joining traces to the
-//!   flight-recorder/audit/exemplar evidence. Deliberately *not*
+//!   flight-recorder (and its audit rows) and exemplar evidence. Deliberately *not*
 //!   compiled out by `telemetry-off` (propagation is a wire contract).
 //! * [`QuantileSketch`] — a fixed-memory HDR-style streaming sketch
 //!   giving p50/p95/p99 for end-to-end decide latency and for each of

@@ -5,13 +5,15 @@
 //! `Ring`) taken — `len + dropped + taken == pushed` — eviction is
 //! drop-oldest, and capacity 0 retains nothing while still counting.
 //! For `SlotRing`, concurrent pushes never tear or reorder an entry and
-//! leave exactly the newest `capacity` tickets behind.
+//! leave exactly the newest `capacity` tickets behind, and a restored
+//! ring behaves like the `Ring` model restored from the same state.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Barrier;
 
 use grbac_core::ring::{Ring, SlotRing};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// One step of a single-owner ring's life.
 #[derive(Debug, Clone)]
@@ -106,6 +108,36 @@ proptest! {
         prop_assert_eq!(ring.pushed(), pushes);
         prop_assert_eq!(ring.len() as u64 + ring.dropped(), ring.pushed());
         prop_assert_eq!(ring.is_empty(), pushes == 0 || rounded == 0);
+    }
+
+    /// `SlotRing::restore` against the `Ring` model at the rounded
+    /// capacity: the restored ring and every push after it retain the
+    /// model's entries, tickets continue from `dropped + items.len()`,
+    /// and `len + dropped == pushed` holds throughout.
+    fn slot_ring_restore_matches_the_ring_model(
+        capacity in 0usize..20,
+        prior_dropped in 0u64..50,
+        items in proptest::collection::vec(0u64..1000, 0..40),
+        more in 0u64..40,
+    ) {
+        let ring = SlotRing::restore(capacity, prior_dropped, items.clone());
+        let mut model = Ring::restore(ring.capacity(), prior_dropped, items.clone());
+        let check = |ring: &SlotRing<u64>, model: &Ring<u64>| -> Result<(), TestCaseError> {
+            prop_assert_eq!(ring.collect(|_| true), model.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(
+                (ring.len(), ring.pushed(), ring.dropped()),
+                (model.len(), model.pushed(), model.dropped())
+            );
+            prop_assert_eq!(ring.len() as u64 + ring.dropped(), ring.pushed());
+            Ok(())
+        };
+        check(&ring, &model)?;
+        for n in 0..more {
+            let ticket = ring.push_with(|_| 1000 + n);
+            prop_assert_eq!(ticket, prior_dropped + items.len() as u64 + n);
+            model.push(1000 + n);
+            check(&ring, &model)?;
+        }
     }
 }
 

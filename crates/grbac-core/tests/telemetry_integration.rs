@@ -1,5 +1,5 @@
-//! Engine-level telemetry integration: audit parity between `check`
-//! and `check_batch`, audit gauges that survive eviction and clears,
+//! Engine-level telemetry integration: audit parity between `decide`
+//! and `decide_batch`, audit gauges that survive eviction,
 //! exporter agreement on a live engine's snapshot, rule-heat counters
 //! fed by the live mediation path, watchdog alerts surfacing in the
 //! scrape payload, and trace output.
@@ -76,26 +76,26 @@ fn requests(home: &Home) -> Vec<AccessRequest> {
 }
 
 #[test]
-fn check_batch_audits_identically_to_sequential_check() {
-    let mut sequential_home = household();
-    let mut batched_home = household();
+fn decide_batch_audits_identically_to_sequential_decide() {
+    let sequential_home = household();
+    let batched_home = household();
     let batch = requests(&batched_home);
 
     let sequential_decisions: Vec<Decision> = requests(&sequential_home)
         .iter()
-        .map(|request| sequential_home.g.check(request).unwrap())
+        .map(|request| sequential_home.g.decide(request).unwrap())
         .collect();
     let batched_decisions: Vec<Decision> = batched_home
         .g
-        .check_batch(&batch)
+        .decide_batch(&batch)
         .into_iter()
         .map(Result::unwrap)
         .collect();
     assert_eq!(batched_decisions, sequential_decisions);
 
     // Audit records are identical, field for field, in request order…
-    let sequential_records: Vec<_> = sequential_home.g.audit().iter().cloned().collect();
-    let batched_records: Vec<_> = batched_home.g.audit().iter().cloned().collect();
+    let sequential_records: Vec<_> = sequential_home.g.audit().iter().collect();
+    let batched_records: Vec<_> = batched_home.g.audit().iter().collect();
     assert_eq!(batched_records, sequential_records);
     assert_eq!(batched_records.len(), batch.len());
 
@@ -137,33 +137,34 @@ fn check_batch_audits_identically_to_sequential_check() {
 }
 
 #[test]
-fn audit_gauges_survive_eviction_and_clear() {
+fn audit_gauges_survive_eviction() {
     let mut home = household();
+    home.g.set_flight_recorder_capacity(8);
     for request in requests(&home) {
-        home.g.check(&request).unwrap();
+        home.g.decide(&request).unwrap();
     }
     let permits = home.g.audit().permit_count();
     let denies = home.g.audit().deny_count();
-    assert_eq!(permits + denies, 24);
+    assert_eq!((permits, denies), (8, 16));
+    assert_eq!(home.g.audit().len(), 8);
+    assert_eq!(home.g.audit().evicted_count(), 16);
 
-    home.g.clear_audit();
     if telemetry::ENABLED {
         let snapshot = home.g.metrics_snapshot();
         // The gauges mirror the log's running totals, which survive
-        // clear_audit() even though no records remain.
+        // eviction even though only 8 records remain.
         assert_eq!(snapshot.gauge("grbac_audit_permit_total"), permits);
         assert_eq!(snapshot.gauge("grbac_audit_deny_total"), denies);
-        assert_eq!(snapshot.gauge("grbac_audit_retained"), 0);
+        assert_eq!(snapshot.gauge("grbac_audit_evictions"), 16);
+        assert_eq!(snapshot.gauge("grbac_audit_retained"), 8);
     }
-    assert!(home.g.audit().is_empty());
-    assert_eq!(home.g.audit().permit_count(), permits);
 }
 
 #[test]
 fn exporters_render_the_same_live_snapshot() {
-    let mut home = household();
+    let home = household();
     for request in requests(&home) {
-        home.g.check(&request).unwrap();
+        home.g.decide(&request).unwrap();
     }
     let snapshot = home.g.metrics_snapshot();
     let text = PrometheusExporter.export(&snapshot);
@@ -196,11 +197,11 @@ fn degraded_decisions_carry_their_reason_into_the_audit_log() {
         .at(2)
         .with_env_health(EnvHealth::Unavailable);
 
-    let fresh_decision = home.g.check(&fresh).unwrap();
+    let fresh_decision = home.g.decide(&fresh).unwrap();
     assert!(fresh_decision.is_permitted());
     assert!(!fresh_decision.is_degraded());
 
-    let stale_decision = home.g.check(&stale).unwrap();
+    let stale_decision = home.g.decide(&stale).unwrap();
     assert!(
         !stale_decision.is_permitted(),
         "fail-closed drops over-budget roles, so the rule cannot match"
@@ -213,15 +214,15 @@ fn degraded_decisions_carry_their_reason_into_the_audit_log() {
         })
     );
 
-    let dark_decision = home.g.check(&dark).unwrap();
+    let dark_decision = home.g.decide(&dark).unwrap();
     assert!(!dark_decision.is_permitted());
     assert_eq!(
         dark_decision.degraded(),
         Some(&DegradedReason::EnvUnavailable)
     );
 
-    // The audit log retains each decision's reason, verbatim.
-    let records: Vec<_> = home.g.audit().iter().cloned().collect();
+    // The decision log retains each decision's reason, verbatim.
+    let records: Vec<_> = home.g.audit().iter().collect();
     assert_eq!(records.len(), 3);
     assert_eq!(records[0].degraded, None);
     assert_eq!(records[1].degraded, stale_decision.degraded().copied());
@@ -235,7 +236,7 @@ fn degraded_decisions_carry_their_reason_into_the_audit_log() {
 }
 
 #[test]
-fn degraded_audits_are_identical_across_check_and_check_batch() {
+fn degraded_audits_are_identical_across_decide_and_decide_batch() {
     let mut sequential_home = household();
     let mut batched_home = household();
     for home in [&mut sequential_home, &mut batched_home] {
@@ -268,11 +269,11 @@ fn degraded_audits_are_identical_across_check_and_check_batch() {
 
     let sequential_decisions: Vec<Decision> = batch
         .iter()
-        .map(|request| sequential_home.g.check(request).unwrap())
+        .map(|request| sequential_home.g.decide(request).unwrap())
         .collect();
     let batched_decisions: Vec<Decision> = batched_home
         .g
-        .check_batch(&batch)
+        .decide_batch(&batch)
         .into_iter()
         .map(Result::unwrap)
         .collect();
@@ -286,8 +287,8 @@ fn degraded_audits_are_identical_across_check_and_check_batch() {
     assert!(sequential_decisions[3].is_degraded());
 
     // Audit parity extends to the degraded field.
-    let sequential_records: Vec<_> = sequential_home.g.audit().iter().cloned().collect();
-    let batched_records: Vec<_> = batched_home.g.audit().iter().cloned().collect();
+    let sequential_records: Vec<_> = sequential_home.g.audit().iter().collect();
+    let batched_records: Vec<_> = batched_home.g.audit().iter().collect();
     assert_eq!(batched_records, sequential_records);
     for (record, decision) in sequential_records.iter().zip(&sequential_decisions) {
         assert_eq!(record.degraded, decision.degraded().copied());
@@ -306,9 +307,9 @@ fn rule_heat_follows_the_live_mediation_path() {
     if !telemetry::ENABLED {
         return;
     }
-    let mut home = household();
+    let home = household();
     for request in requests(&home) {
-        home.g.check(&request).unwrap();
+        home.g.decide(&request).unwrap();
     }
 
     // 8 evening requests match and win the single permit rule; the 8
@@ -334,7 +335,7 @@ fn rule_heat_follows_the_live_mediation_path() {
     home.g.metrics().rule_heat.set_enabled(false);
     let evening = EnvironmentSnapshot::from_active([home.weekdays, home.free_time]);
     home.g
-        .check(&AccessRequest::by_subject(
+        .decide(&AccessRequest::by_subject(
             home.alice, home.use_t, home.tv, evening,
         ))
         .unwrap();

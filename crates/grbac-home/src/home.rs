@@ -138,7 +138,8 @@ pub struct AwareHome {
     /// Shared so an observability server (see
     /// [`serve_observability`](Self::serve_observability)) can read the
     /// engine concurrently with the home mediating requests. The home
-    /// itself takes the write lock only for mutation (`check` audits).
+    /// decides under the read lock and takes the write lock only to
+    /// change the policy.
     engine: Arc<RwLock<Grbac>>,
     vocab: HomeVocabulary,
     provider: EnvironmentRoleProvider,
@@ -470,8 +471,9 @@ impl AwareHome {
         }
     }
 
-    /// Mediates a request from a fully-trusted subject, recording it in
-    /// the audit log with the current simulated time.
+    /// Mediates a request from a fully-trusted subject, under the engine
+    /// read lock, stamped with the current simulated time in the
+    /// engine's decision log.
     ///
     /// # Errors
     ///
@@ -491,7 +493,7 @@ impl AwareHome {
             env_health,
             timestamp: Some(self.clock.now().as_seconds().max(0) as u64),
         };
-        Ok(self.engine_mut().check(&request)?)
+        Ok(self.engine().decide(&request)?)
     }
 
     /// Mediates a request from sensor-authenticated evidence (§5.2).
@@ -518,7 +520,7 @@ impl AwareHome {
             env_health,
             timestamp: Some(self.clock.now().as_seconds().max(0) as u64),
         };
-        Ok(self.engine_mut().check(&request)?)
+        Ok(self.engine().decide(&request)?)
     }
 }
 
@@ -1121,6 +1123,40 @@ mod tests {
             .request(bobby, vocab.operate, tv)
             .unwrap()
             .is_permitted());
+    }
+
+    /// Decisions take the engine read lock, so a reader (an
+    /// observability scrape, say) never stalls mediation.
+    #[test]
+    fn request_does_not_wait_on_engine_readers() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+
+        let mut home = small_home();
+        let vocab = *home.vocab();
+        let bobby = home.person("bobby").unwrap().subject();
+        let tv = home.device("tv").unwrap().object();
+        let engine = home.engine_handle();
+        let released = Arc::new(AtomicBool::new(false));
+        let (held, holding) = mpsc::channel();
+        let reader = {
+            let released = Arc::clone(&released);
+            std::thread::spawn(move || {
+                let guard = engine.read().expect("engine lock");
+                held.send(()).expect("test thread waits");
+                std::thread::sleep(std::time::Duration::from_secs(2));
+                released.store(true, Ordering::SeqCst);
+                drop(guard);
+            })
+        };
+        holding.recv().expect("reader holds the lock");
+        home.request(bobby, vocab.operate, tv).unwrap();
+        assert!(
+            !released.load(Ordering::SeqCst),
+            "request waited for the reader to release the engine"
+        );
+        reader.join().unwrap();
+        assert_eq!(home.engine().audit().total_recorded(), 1);
     }
 
     #[test]

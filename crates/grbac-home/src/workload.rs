@@ -213,14 +213,14 @@ pub fn execute(
 /// Replays a workload in two phases: first walk the timeline applying
 /// movements and capturing each request with the environment snapshot
 /// it would have seen, then mediate the whole set with
-/// [`Grbac::check_batch`](grbac_core::engine::Grbac::check_batch).
+/// [`Grbac::decide_batch`](grbac_core::engine::Grbac::decide_batch)
+/// under the engine read lock.
 ///
-/// Decisions, stats, audit records and telemetry are identical to
-/// [`execute`]'s — snapshots freeze the environment at capture time,
-/// and `check_batch` appends audit records in request order exactly as
-/// the sequential path does — but mediation runs against one
-/// compiled-index snapshot and, with grbac-core's `parallel` feature,
-/// across threads.
+/// Decisions, stats, audit totals and telemetry are identical to
+/// [`execute`]'s — snapshots freeze the environment at capture time —
+/// but mediation runs against one compiled-index snapshot and, with
+/// grbac-core's `parallel` feature, across threads (the decision log
+/// then holds the rows in completion order).
 ///
 /// # Errors
 ///
@@ -259,7 +259,7 @@ pub fn execute_batched(
             }
         }
     }
-    let decisions = home.engine_mut().check_batch(&requests);
+    let decisions = home.engine().decide_batch(&requests);
     for (decision, (subject, transaction)) in decisions.into_iter().zip(keys) {
         record(&mut stats, subject, transaction, decision?.is_permitted());
     }
@@ -390,7 +390,7 @@ mod tests {
         // The paper household's policy is restrictive: children and the
         // technician are denied most things, parents get devices.
         assert!(stats.grant_rate() > 0.0 && stats.grant_rate() < 1.0);
-        // The audit log saw everything.
+        // The decision log saw everything.
         assert_eq!(home.engine().audit().total_recorded(), stats.requests);
     }
 
@@ -410,7 +410,7 @@ mod tests {
         let sequential = execute(&mut sequential_home, &events).unwrap();
         let batched = execute_batched(&mut batched_home, &events).unwrap();
         assert_eq!(sequential, batched);
-        // check_batch gives the batched replay the same audit trail.
+        // The batched replay leaves the same audit totals.
         assert_eq!(
             batched_home.engine().audit().total_recorded(),
             sequential_home.engine().audit().total_recorded(),

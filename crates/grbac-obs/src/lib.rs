@@ -1,7 +1,7 @@
 //! # grbac-obs — a live observability plane for GRBAC engines
 //!
-//! The engine's four telemetry surfaces — metrics, quantile sketches
-//! with exemplars, the decision flight recorder, and the audit log —
+//! The engine's telemetry surfaces — metrics, quantile sketches with
+//! exemplars, and the decision flight recorder with its audit view —
 //! are all in-process data structures. This crate makes them reachable
 //! over the network with **zero external dependencies**: a small
 //! threaded HTTP/1.1 server on std's [`TcpListener`] with a bounded
@@ -1228,8 +1228,8 @@ mod tests {
 
     /// The acceptance-criterion round trip: a decision id scraped out
     /// of an exported exemplar on `/metrics` resolves via
-    /// `/decision/<id>` to a recorder record, a replay diff, and an
-    /// audit-row slot that agree structurally.
+    /// `/decision/<id>` to a recorder record, a replay diff that agrees
+    /// with it, and the record's audit row.
     #[test]
     fn exemplar_id_resolves_to_a_full_story() {
         if !grbac_core::telemetry::ENABLED {
@@ -1262,10 +1262,10 @@ mod tests {
         assert_eq!(story.record.decision_id, id);
         let replay = story.replay.as_ref().expect("same policy still replays");
         assert_eq!(replay.recorded_effect, story.record.effect);
-        assert!(
-            story.agrees(),
-            "recorder, replay, and audit must agree structurally"
-        );
+        assert!(story.agrees(), "recorder and replay must agree");
+        let audit = story.audit.as_ref().expect("every decide is audited");
+        assert_eq!(audit.decision_id, id);
+        assert_eq!(audit.effect, story.record.effect);
 
         server.shutdown();
     }

@@ -320,10 +320,7 @@ mod tests {
     #[test]
     fn compiles_and_mediates_the_flagship_policy() {
         let program = parse(SECTION_51).unwrap();
-        let CompiledPolicy {
-            mut engine,
-            provider,
-        } = compile(&program).unwrap();
+        let CompiledPolicy { engine, provider } = compile(&program).unwrap();
 
         let bobby = engine.entities().find_subject("bobby").unwrap();
         let mom = engine.entities().find_subject("mom").unwrap();
@@ -332,12 +329,12 @@ mod tests {
 
         let env = provider.snapshot(&EnvironmentContext::at(monday_8pm()));
         let d = engine
-            .check(&AccessRequest::by_subject(bobby, operate, tv, env.clone()))
+            .decide(&AccessRequest::by_subject(bobby, operate, tv, env.clone()))
             .unwrap();
         assert!(d.is_permitted());
 
         let d = engine
-            .check(&AccessRequest::by_subject(mom, operate, tv, env))
+            .decide(&AccessRequest::by_subject(mom, operate, tv, env))
             .unwrap();
         assert!(!d.is_permitted(), "the rule names child, not parent");
 
@@ -348,7 +345,7 @@ mod tests {
         );
         let env = provider.snapshot(&EnvironmentContext::at(saturday));
         let d = engine
-            .check(&AccessRequest::by_subject(bobby, operate, tv, env))
+            .decide(&AccessRequest::by_subject(bobby, operate, tv, env))
             .unwrap();
         assert!(!d.is_permitted());
     }

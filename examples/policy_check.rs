@@ -67,7 +67,7 @@ fn check(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let program = parse(source)?;
     let compiled = compile(&program)?;
-    let mut engine = compiled.engine;
+    let engine = compiled.engine;
     let provider = compiled.provider;
 
     let subject_id = engine.entities().find_subject(subject)?;
@@ -80,7 +80,7 @@ fn check(
     };
     let environment = provider.snapshot(&EnvironmentContext::at(now).with_subject(subject_id));
 
-    let decision = engine.check(&AccessRequest::by_subject(
+    let decision = engine.decide(&AccessRequest::by_subject(
         subject_id,
         transaction_id,
         object_id,

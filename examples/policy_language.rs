@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = parse(POLICY)?;
     println!("parsed {} statements", program.statements.len());
     let compiled = compile(&program)?;
-    let mut engine = compiled.engine;
+    let engine = compiled.engine;
     let provider = compiled.provider;
     println!("compiled {} rules\n", engine.rules().len());
 
@@ -64,16 +64,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for (label, ts) in [("Monday 20:00", monday_8pm), ("Monday 12:00", monday_noon)] {
         let env = provider.snapshot(&EnvironmentContext::at(ts));
-        let d = engine.check(&AccessRequest::by_subject(alice, operate, tv, env.clone()))?;
+        let d = engine.decide(&AccessRequest::by_subject(alice, operate, tv, env.clone()))?;
         println!("{label}: alice -> tv   : {d}");
-        let d = engine.check(&AccessRequest::by_subject(
+        let d = engine.decide(&AccessRequest::by_subject(
             alice,
             operate,
             oven,
             env.clone(),
         ))?;
         println!("{label}: alice -> oven : {d}");
-        let d = engine.check(&AccessRequest::by_subject(mom, operate, oven, env))?;
+        let d = engine.decide(&AccessRequest::by_subject(mom, operate, oven, env))?;
         println!("{label}: mom   -> oven : {d}");
     }
 
