@@ -4,8 +4,9 @@
 //! exemplars, and the decision flight recorder with its audit view —
 //! are all in-process data structures. This crate makes them reachable
 //! over the network with **zero external dependencies**: a small
-//! threaded HTTP/1.1 server on std's [`TcpListener`] with a bounded
-//! worker pool and graceful shutdown.
+//! HTTP/1.1 server on std's [`TcpListener`](std::net::TcpListener),
+//! one thread per connection under the [`conn`] module's admission
+//! cap, with graceful shutdown.
 //!
 //! | Route | Body |
 //! |---|---|
@@ -46,9 +47,9 @@
 //! with `: heartbeat` comments while quiet; `/timeseries` answers
 //! windowed rate series for dashboards; `/dashboard` is a single
 //! self-contained HTML page consuming both. A streaming `/events`
-//! connection occupies one worker for its lifetime — size the pool
-//! with [`ObsServer::serve_with_workers`] when you expect several
-//! concurrent watchers.
+//! connection holds its own thread for its lifetime, so open streams
+//! never block scrapes; past [`conn::MAX_CONNECTIONS`] live
+//! connections, new ones are answered `503` and closed.
 //!
 //! ```no_run
 //! use std::sync::{Arc, RwLock};
@@ -70,10 +71,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+pub mod conn;
+
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,6 +89,8 @@ use grbac_core::telemetry::{
 };
 use grbac_core::{DecisionId, Grbac};
 use serde::Value;
+
+use crate::conn::{read_line_limited, ConnServer, Protocol, ReadError, MAX_CONNECTIONS};
 
 /// The obs plane's hold on the engine bus's replay window (so SSE
 /// reconnects can resume by seq from events the bus keeps itself) plus
@@ -262,7 +266,7 @@ impl EngineObs {
             }
             "/traces" => self.traces(query),
             "/traces.json" => match &self.spans {
-                Some(spans) => Response::json_value(&otlp_value("grbac", &spans.snapshot())),
+                Some(spans) => Response::json(&otlp_value("grbac", &spans.snapshot())),
                 None => Response::not_found("tracing not enabled on this plane"),
             },
             "/timeseries" => self.timeseries(query),
@@ -358,7 +362,7 @@ impl EngineObs {
             .map(|tree| tree_with_stories(tree, &engine))
             .collect();
         drop(engine);
-        Response::json_value(&Value::Map(vec![
+        Response::json(&Value::Map(vec![
             ("trace_id".to_owned(), Value::Str(id.to_string())),
             ("span_count".to_owned(), Value::UInt(count as u64)),
             ("spans".to_owned(), Value::Seq(rendered)),
@@ -405,7 +409,7 @@ impl EngineObs {
             .take(limit)
             .map(|span| span.to_value())
             .collect();
-        Response::json_value(&Value::Map(vec![
+        Response::json(&Value::Map(vec![
             ("traces".to_owned(), Value::Seq(roots)),
             (
                 "total_recorded".to_owned(),
@@ -463,7 +467,7 @@ impl EngineObs {
                 Value::Seq(points.into_iter().map(Value::Float).collect()),
             ));
         }
-        Response::json_value(&Value::Map(vec![
+        Response::json(&Value::Map(vec![
             ("windows".to_owned(), Value::UInt(recent.len() as u64)),
             (
                 "elapsed_ns".to_owned(),
@@ -588,61 +592,43 @@ impl Response {
     fn json<T: serde::Serialize>(value: &T) -> Self {
         match serde_json::to_string(value) {
             Ok(body) => Self::ok("application/json", body),
-            Err(_) => Self {
-                status: 500,
-                reason: "Internal Server Error",
-                content_type: "text/plain; charset=utf-8",
-                body: "serialization failed".to_owned(),
-                allow: None,
-            },
+            Err(_) => Self::plain(500, "Internal Server Error", "serialization failed"),
         }
     }
 
-    /// Like [`Response::json`] but named for an already-assembled
-    /// [`Value`] (the trace handlers build composite bodies no single
-    /// type serializes to).
-    fn json_value(value: &Value) -> Self {
-        Self::json(value)
+    fn plain(status: u16, reason: &'static str, message: &str) -> Self {
+        Self {
+            status,
+            reason,
+            content_type: "text/plain; charset=utf-8",
+            body: message.to_owned(),
+            allow: None,
+        }
     }
 
     fn bad_request(message: &str) -> Self {
-        Self {
-            status: 400,
-            reason: "Bad Request",
-            content_type: "text/plain; charset=utf-8",
-            body: message.to_owned(),
-            allow: None,
-        }
+        Self::plain(400, "Bad Request", message)
     }
 
     fn not_found(message: &str) -> Self {
-        Self {
-            status: 404,
-            reason: "Not Found",
-            content_type: "text/plain; charset=utf-8",
-            body: message.to_owned(),
-            allow: None,
-        }
+        Self::plain(404, "Not Found", message)
     }
 
     fn method_not_allowed() -> Self {
         Self {
-            status: 405,
-            reason: "Method Not Allowed",
-            content_type: "text/plain; charset=utf-8",
-            body: "only GET is served".to_owned(),
             allow: Some("GET"),
+            ..Self::plain(405, "Method Not Allowed", "only GET is served")
         }
     }
 
-    /// Writes the head and body as one `write_all`, so they leave in
-    /// one segment rather than two.
-    fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    /// The head and body as one message, so they leave in one
+    /// `write_all` and one segment rather than two.
+    fn render(&self) -> String {
         let allow = match self.allow {
             Some(methods) => format!("Allow: {methods}\r\n"),
             None => String::new(),
         };
-        let message = format!(
+        format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: close\r\n\r\n{}",
             self.status,
             self.reason,
@@ -650,8 +636,11 @@ impl Response {
             self.body.len(),
             allow,
             self.body,
-        );
-        stream.write_all(message.as_bytes())
+        )
+    }
+
+    fn write_to(&self, mut stream: &TcpStream) -> std::io::Result<()> {
+        stream.write_all(self.render().as_bytes())
     }
 }
 
@@ -664,16 +653,29 @@ struct ParsedRequest {
     last_event_id: Option<u64>,
 }
 
-/// Parses the request line of one HTTP/1.1 request. Headers are read
-/// and discarded except `Last-Event-ID` (the server is otherwise
-/// GET-only and stateless). The query string (without the `?`) is
-/// preserved for the routes that filter, empty when absent.
-fn parse_request(stream: &TcpStream) -> std::io::Result<Option<ParsedRequest>> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+/// Bytes one request head (request line plus headers) may take; a
+/// longer head answers `431` and closes.
+const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Parses the request line of one HTTP/1.1 request, reading at most
+/// [`MAX_HEAD_BYTES`] of head. Headers are read and discarded except
+/// `Last-Event-ID` (the server is otherwise GET-only and stateless).
+/// The query string (without the `?`) is preserved for the routes that
+/// filter, empty when absent.
+fn parse_request(stream: &TcpStream) -> Result<Option<ParsedRequest>, ReadError> {
+    let mut reader = BufReader::new(stream);
+    let mut budget = MAX_HEAD_BYTES;
+    let mut partial = Vec::new();
+    let mut next_line = || -> Result<Option<String>, ReadError> {
+        let line = read_line_limited(&mut reader, budget, &mut partial)?;
+        if let Some(line) = &line {
+            budget = budget.saturating_sub(line.len() + 1);
+        }
+        Ok(line)
+    };
+    let Some(line) = next_line()? else {
         return Ok(None);
-    }
+    };
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_owned();
     let target = parts.next().unwrap_or_default();
@@ -684,9 +686,8 @@ fn parse_request(stream: &TcpStream) -> std::io::Result<Option<ParsedRequest>> {
     // Drain the headers so the peer sees the response after a clean
     // request; bodies are ignored (GET has none).
     let mut last_event_id = None;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
+    while let Some(header) = next_line()? {
+        if header.trim_end_matches('\r').is_empty() {
             break;
         }
         if let Some((name, value)) = header.split_once(':') {
@@ -719,7 +720,7 @@ const SSE_HEARTBEAT_POLLS: u32 = 40;
 /// or the server shuts down.
 fn stream_events(
     obs: &EngineObs,
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     query: &str,
     last_event_id: Option<u64>,
     stop: &AtomicBool,
@@ -814,149 +815,76 @@ fn stream_events(
     }
 }
 
-fn handle_connection(obs: &EngineObs, mut stream: TcpStream, stop: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let request = match parse_request(&stream) {
-        Ok(Some(request)) => request,
-        Ok(None) => return,
-        Err(_) => {
-            let _ = Response::bad_request("malformed request").write_to(&mut stream);
-            let _ = stream.flush();
-            return;
-        }
-    };
-    if request.method == "GET" && request.path == "/events" {
-        stream_events(
-            obs,
-            &mut stream,
-            &request.query,
-            request.last_event_id,
-            stop,
-        );
-        let _ = stream.flush();
-        return;
-    }
-    let response = if request.method == "GET" {
-        obs.respond(&request.path, &request.query)
-    } else {
-        Response::method_not_allowed()
-    };
-    let _ = response.write_to(&mut stream);
-    let _ = stream.flush();
-}
-
-fn worker(obs: EngineObs, jobs: Arc<Mutex<Receiver<TcpStream>>>, stop: Arc<AtomicBool>) {
-    loop {
-        // Hold the receiver lock only to dequeue, not to serve.
-        let stream = match jobs.lock().expect("job queue lock").recv() {
-            Ok(stream) => stream,
-            Err(_) => return, // acceptor dropped the sender: shutdown
+impl Protocol for EngineObs {
+    fn serve(&self, stream: &TcpStream, _queue_wait_ns: u64, stop: &AtomicBool) {
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+        let response = match parse_request(stream) {
+            Ok(None) => return,
+            Ok(Some(request)) if request.method != "GET" => Response::method_not_allowed(),
+            Ok(Some(request)) if request.path == "/events" => {
+                return stream_events(self, stream, &request.query, request.last_event_id, stop)
+            }
+            Ok(Some(request)) => self.respond(&request.path, &request.query),
+            Err(ReadError::TooLong) => Response::plain(
+                431,
+                "Request Header Fields Too Large",
+                &format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
+            ),
+            Err(_) => Response::bad_request("malformed request"),
         };
-        handle_connection(&obs, stream, &stop);
+        let _ = response.write_to(stream);
+    }
+
+    fn reject(&self) -> Vec<u8> {
+        Response::plain(503, "Service Unavailable", "connection limit reached")
+            .render()
+            .into_bytes()
     }
 }
 
-/// A running observability server: an acceptor thread feeding a
-/// bounded pool of worker threads. Dropping the handle without calling
-/// [`shutdown`](Self::shutdown) leaves the threads serving until the
-/// process exits (detached); shutdown joins them.
+/// A running observability server: one thread per connection under
+/// [`MAX_CONNECTIONS`], plus the live-telemetry ticker when the plane
+/// has live telemetry attached. It stops on drop, like
+/// [`shutdown`](Self::shutdown): the listener closes, open connections
+/// (streams included) are shut down and every thread is joined. Keep
+/// the handle bound for as long as the plane should serve.
 #[derive(Debug)]
 pub struct ObsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    ticker: Option<JoinHandle<()>>,
+    conns: ConnServer,
+    ticker: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
 }
 
 impl ObsServer {
-    /// How many connections may queue behind busy workers before
-    /// accepts block (bounding memory under scrape storms).
-    pub const QUEUE_DEPTH: usize = 32;
-
     /// Serves `obs` on `addr` (use port 0 for an ephemeral port; the
-    /// bound address is [`addr`](Self::addr)) with
-    /// [`DEFAULT_WORKERS`](Self::DEFAULT_WORKERS) workers.
+    /// bound address is [`addr`](Self::addr)).
     ///
     /// # Errors
     ///
     /// Propagates the bind failure.
     pub fn serve(obs: EngineObs, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Self::serve_with_workers(obs, addr, Self::DEFAULT_WORKERS)
+        Self::bind(obs, addr, MAX_CONNECTIONS)
     }
 
-    /// Worker threads serving requests concurrently; scrapes are
-    /// read-lock-only so a handful is plenty.
-    pub const DEFAULT_WORKERS: usize = 2;
-
-    /// Serves `obs` on `addr` with an explicit worker count (min 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn serve_with_workers(
-        obs: EngineObs,
-        addr: impl ToSocketAddrs,
-        workers: usize,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let (sender, receiver): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            sync_channel(Self::QUEUE_DEPTH);
-        let receiver = Arc::new(Mutex::new(receiver));
-
-        let pool: Vec<JoinHandle<()>> = (0..workers.max(1))
-            .map(|_| {
-                let obs = obs.clone();
-                let jobs = Arc::clone(&receiver);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || worker(obs, jobs, stop))
-            })
-            .collect();
-
+    fn bind(obs: EngineObs, addr: impl ToSocketAddrs, cap: usize) -> std::io::Result<Self> {
+        let obs = Arc::new(obs);
+        let conns = ConnServer::bind(addr, cap, Arc::clone(&obs))?;
         // With live telemetry attached, a background ticker keeps the
         // metrics history fed even while nobody is watching — so the
         // first dashboard load already has a past.
         let ticker = obs.live.is_some().then(|| {
-            let obs = obs.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    obs.live_tick();
-                    std::thread::sleep(Self::TICKER_POLL);
-                }
-            })
+            let stop = Arc::new(AtomicBool::new(false));
+            let ticker = {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Acquire) {
+                        obs.live_tick();
+                        std::thread::sleep(Self::TICKER_POLL);
+                    }
+                })
+            };
+            (stop, ticker)
         });
-
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::Acquire) {
-                        break; // the shutdown self-connect woke us
-                    }
-                    match stream {
-                        Ok(stream) => {
-                            if sender.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
-                }
-                // Dropping `sender` here disconnects the channel, so
-                // workers drain the queue and exit.
-            })
-        };
-
-        Ok(Self {
-            addr,
-            stop,
-            acceptor: Some(acceptor),
-            workers: pool,
-            ticker,
-        })
+        Ok(Self { conns, ticker })
     }
 
     /// How often the live-telemetry ticker wakes (the history scrape
@@ -966,26 +894,20 @@ impl ObsServer {
     /// The bound address (resolves port 0 to the actual port).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.conns.local_addr()
     }
 
-    /// Stops accepting, drains queued connections, and joins every
-    /// thread. In-flight responses finish; new connections are
-    /// refused once the listener closes.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        // The acceptor blocks in `incoming()`; a throwaway connection
-        // wakes it so it observes the stop flag.
-        if let Ok(mut wake) = TcpStream::connect(self.addr) {
-            let _ = wake.write_all(b"");
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(ticker) = self.ticker.take() {
+    /// Stops accepting, shuts down open connections and joins every
+    /// thread. A response already being rendered is still written.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for ObsServer {
+    fn drop(&mut self) {
+        if let Some((stop, ticker)) = self.ticker.take() {
+            stop.store(true, Ordering::Release);
             let _ = ticker.join();
         }
     }
@@ -1438,6 +1360,91 @@ mod tests {
         let (status, _, _) = request(addr, "GET", "/events?min_severity=loud").unwrap();
         assert_eq!(status, 400);
 
+        server.shutdown();
+    }
+
+    /// Open `/events` streams hold only their own threads: with two
+    /// streams open, a `/metrics` scrape is answered at once.
+    #[test]
+    fn open_streams_do_not_block_scrapes() {
+        let engine = engine_with_policy();
+        let obs = EngineObs::new(Arc::clone(&engine)).with_live_telemetry();
+        let server = ObsServer::serve(obs, "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        let streams: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream.write_all(b"GET /events HTTP/1.1\r\n\r\n").unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(2)))
+                    .unwrap();
+                let mut head = [0u8; 15];
+                stream.read_exact(&mut head).unwrap();
+                assert_eq!(&head, b"HTTP/1.1 200 OK");
+                stream
+            })
+            .collect();
+        let started = Instant::now();
+        let (status, _) = get(addr, "/metrics").unwrap();
+        assert_eq!(status, 200);
+        assert!(started.elapsed() < Duration::from_secs(1));
+        drop(streams);
+        server.shutdown();
+    }
+
+    /// Over the cap, a connection gets one `503` and is closed; a later
+    /// connection is served once an admitted one closes.
+    #[test]
+    fn over_cap_connection_is_answered_503_and_closed() {
+        let engine = engine_with_policy();
+        let server = ObsServer::bind(EngineObs::new(engine), "127.0.0.1:0", 1).unwrap();
+        let addr = server.addr();
+        let silent = TcpStream::connect(addr).unwrap();
+
+        let mut over = TcpStream::connect(addr).unwrap();
+        over.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let mut reply = String::new();
+        over.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 503 "), "{reply}");
+
+        drop(silent);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !matches!(get(addr, "/metrics"), Ok((200, _))) {
+            assert!(Instant::now() < deadline, "never admitted");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        server.shutdown();
+    }
+
+    /// Shutdown shuts open connections down instead of waiting out the
+    /// head read timeout of a client that never sends a byte.
+    #[test]
+    fn shutdown_does_not_wait_out_a_silent_client() {
+        let server = ObsServer::serve(EngineObs::new(engine_with_policy()), "127.0.0.1:0").unwrap();
+        let silent = TcpStream::connect(server.addr()).unwrap();
+        // Accepted in order, so the silent connection is admitted first.
+        let (status, _) = get(server.addr(), "/health").unwrap();
+        assert_eq!(status, 200);
+        let started = Instant::now();
+        server.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(1));
+        drop(silent);
+    }
+
+    /// A request head past the cap is answered `431` at once instead
+    /// of being buffered whole.
+    #[test]
+    fn oversized_request_head_answers_431() {
+        let server = ObsServer::serve(EngineObs::new(engine_with_policy()), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let line = format!("GET /{}", "a".repeat(4 * MAX_HEAD_BYTES));
+        stream.write_all(line.as_bytes()).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 431 "), "{reply}");
         server.shutdown();
     }
 

@@ -72,6 +72,10 @@ pub enum ErrorCode {
     /// server closes the connection after this error, because line
     /// framing can no longer be trusted.
     LineTooLong,
+    /// The server is at its connection cap. Sent once, unsolicited, as
+    /// the only frame of a connection that was not admitted, which the
+    /// server then closes.
+    Busy,
 }
 
 impl ErrorCode {
@@ -88,6 +92,7 @@ impl ErrorCode {
             Self::UnknownName => "unknown_name",
             Self::Policy => "policy",
             Self::LineTooLong => "line_too_long",
+            Self::Busy => "busy",
         }
     }
 }

@@ -1,26 +1,22 @@
-//! The threaded TCP front end: acceptor thread → bounded channel →
-//! worker pool, the same shape as `grbac_obs::ObsServer`, but speaking
-//! the NDJSON policy protocol instead of HTTP and holding connections
-//! open across many requests.
+//! The TCP front end: the NDJSON policy protocol as a
+//! [`Protocol`] on `grbac_obs::conn`'s connection server, the same
+//! server the HTTP observability plane runs on. Each admitted
+//! connection has its own thread and stays open across many requests.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+use std::time::Duration;
+
+use grbac_obs::conn::{read_line_limited, ConnServer, Protocol, ReadError, MAX_CONNECTIONS};
 
 use crate::proto::{err_envelope, ErrorCode, WireError};
 use crate::service::{PolicyService, WireSubscription};
 
-/// Pending connections the acceptor may queue before it blocks.
-const QUEUE_DEPTH: usize = 32;
-
 /// Per-connection read timeout. Generous: clients legitimately idle
 /// between requests, and the shutdown path wakes blocked reads by
-/// closing the listener-side socket anyway.
+/// shutting the socket down anyway.
 const READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Read timeout while a connection is streaming a subscription: each
@@ -30,10 +26,12 @@ const STREAM_POLL: Duration = Duration::from_millis(25);
 
 /// A running policy service endpoint.
 ///
-/// One worker serves one connection at a time, request by request, so
-/// responses on a connection always come back in request order. Size
-/// [`ServiceConfig::workers`](crate::ServiceConfig) at or above the
-/// expected number of concurrent clients.
+/// Each connection is served on its own thread, request by request, so
+/// responses on a connection always come back in request order and an
+/// idle client never delays another. Past
+/// [`MAX_CONNECTIONS`] live connections, a new one is answered `busy`
+/// and closed. The server stops on drop, like
+/// [`shutdown`](Self::shutdown).
 ///
 /// ```
 /// use grbac_serve::{Client, PolicyService, ServeServer};
@@ -48,166 +46,81 @@ const STREAM_POLL: Duration = Duration::from_millis(25);
 /// ```
 #[derive(Debug)]
 pub struct ServeServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    live: Live,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    conns: ConnServer,
 }
 
-/// The set of connections currently being served, so `shutdown` can
-/// unblock workers parked in a read instead of waiting out the idle
-/// timeout. Entries unregister themselves when the connection ends.
-type Live = Arc<Mutex<HashMap<u64, TcpStream>>>;
-
-/// A connection handed from the acceptor to a worker, stamped at
-/// enqueue time so the dispatch-queue wait can be charged to the
-/// connection's first traced request.
-type Dispatched = (TcpStream, Instant);
-
 impl ServeServer {
-    /// Binds `addr` and starts the acceptor plus the worker pool sized
-    /// by the service's [`ServiceConfig`](crate::ServiceConfig).
+    /// Binds `addr` and starts accepting connections.
     ///
     /// # Errors
     ///
     /// Propagates the bind failure.
     pub fn serve(service: Arc<PolicyService>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers = service.config().workers.max(1);
-        let max_line = service.config().max_line_bytes;
+        Self::bind(service, addr, MAX_CONNECTIONS)
+    }
 
-        let live: Live = Arc::new(Mutex::new(HashMap::new()));
-        let next_conn = Arc::new(AtomicU64::new(0));
-        let (tx, rx): (SyncSender<Dispatched>, Receiver<Dispatched>) =
-            std::sync::mpsc::sync_channel(QUEUE_DEPTH);
-        let rx = Arc::new(Mutex::new(rx));
-        let worker_handles: Vec<JoinHandle<()>> = (0..workers)
-            .map(|_| {
-                let service = Arc::clone(&service);
-                let rx = Arc::clone(&rx);
-                let stop = Arc::clone(&stop);
-                let live = Arc::clone(&live);
-                let next_conn = Arc::clone(&next_conn);
-                std::thread::spawn(move || loop {
-                    let stream = {
-                        let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        guard.recv()
-                    };
-                    match stream {
-                        Ok((stream, enqueued)) => {
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let queue_wait_ns = enqueued.elapsed().as_nanos() as u64;
-                            let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-                            if let Ok(clone) = stream.try_clone() {
-                                lock(&live).insert(conn, clone);
-                            }
-                            serve_connection(&service, stream, max_line, queue_wait_ns);
-                            lock(&live).remove(&conn);
-                        }
-                        Err(_) => break,
-                    }
-                })
-            })
-            .collect();
-
-        let acceptor_stop = Arc::clone(&stop);
-        let acceptor = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if acceptor_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Ok(stream) = stream {
-                    if tx.send((stream, Instant::now())).is_err() {
-                        break;
-                    }
-                }
-            }
-            // Dropping `tx` disconnects the channel and releases any
-            // worker blocked in `recv`.
-        });
-
+    fn bind(
+        service: Arc<PolicyService>,
+        addr: impl ToSocketAddrs,
+        cap: usize,
+    ) -> std::io::Result<Self> {
         Ok(Self {
-            addr,
-            stop,
-            live,
-            acceptor: Some(acceptor),
-            workers: worker_handles,
+            conns: ConnServer::bind(addr, cap, service)?,
         })
     }
 
     /// The bound address (useful after binding port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.conns.local_addr()
     }
 
     /// Stops accepting, disconnects open connections, and joins every
     /// thread. A request already being handled finishes and its
     /// response is written before the connection closes.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // The acceptor blocks in `incoming()`; a throwaway connection
-        // wakes it so it can observe the stop flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Workers parked in a read on an open connection see EOF
-        // immediately instead of waiting out the idle timeout.
-        for (_, stream) in lock(&self.live).drain() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+impl Protocol for PolicyService {
+    fn serve(&self, stream: &TcpStream, queue_wait_ns: u64, _stop: &AtomicBool) {
+        serve_connection(self, stream, queue_wait_ns);
+    }
+
+    fn reject(&self) -> Vec<u8> {
+        self.metrics().connections_rejected_total.inc();
+        frame(&WireError::new(
+            ErrorCode::Busy,
+            "the server is at its connection limit; retry later",
+        ))
+    }
 }
 
-impl Drop for ServeServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        for (_, stream) in lock(&self.live).drain() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
+/// One error envelope as an NDJSON frame.
+fn frame(error: &WireError) -> Vec<u8> {
+    let mut frame = serde_json::to_string(&err_envelope(None, None, error)).unwrap_or_default();
+    frame.push('\n');
+    frame.into_bytes()
 }
 
 /// Serves one connection to completion: read a line, answer a line,
 /// until EOF, timeout, or an unrecoverable framing error. The measured
-/// dispatch-queue wait is charged to the first request only; later
-/// requests on the connection never sat in the accept queue.
+/// wait from accept to the connection's thread starting is charged to
+/// the first request only.
 ///
 /// While the connection holds a live subscription the loop switches to
 /// a short-poll cadence: each [`STREAM_POLL`] read timeout drains the
 /// subscription's rings into NDJSON event frames between request
-/// lines. The connection (and its worker) stays dedicated to the
+/// lines. The connection (and its thread) stays dedicated to the
 /// stream until `unsubscribe` or disconnect; either path drops the
 /// [`WireSubscription`], freeing its slot.
-fn serve_connection(
-    service: &PolicyService,
-    stream: TcpStream,
-    max_line: usize,
-    mut queue_wait_ns: u64,
-) {
+fn serve_connection(service: &PolicyService, stream: &TcpStream, mut queue_wait_ns: u64) {
     service.metrics().connections_total.inc();
+    let max_line = service.config().max_line_bytes;
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
+    let mut writer = stream;
     let mut reader = BufReader::new(stream);
     let mut subscription: Option<WireSubscription> = None;
     // Partial-line carry: a streaming pump tick may interrupt a read
@@ -238,7 +151,7 @@ fn serve_connection(
                     let _ = reader.get_ref().set_read_timeout(Some(timeout));
                 }
                 if let Some(live) = &subscription {
-                    if !pump_events(service, &mut writer, live) {
+                    if !pump_events(service, writer, live) {
                         break;
                     }
                 }
@@ -249,7 +162,7 @@ fn serve_connection(
                 // 60-second timeout always has.
                 match &subscription {
                     Some(live) => {
-                        if !pump_events(service, &mut writer, live) {
+                        if !pump_events(service, writer, live) {
                             break;
                         }
                     }
@@ -259,17 +172,10 @@ fn serve_connection(
             Err(ReadError::TooLong) => {
                 // Framing is lost: we cannot tell where the oversized
                 // line ends, so answer once and drop the connection.
-                let error = err_envelope(
-                    None,
-                    None,
-                    &WireError::new(
-                        ErrorCode::LineTooLong,
-                        format!("request line exceeds {max_line} bytes"),
-                    ),
-                );
-                let mut frame = serde_json::to_string(&error).unwrap_or_default();
-                frame.push('\n');
-                let _ = writer.write_all(frame.as_bytes());
+                let _ = writer.write_all(&frame(&WireError::new(
+                    ErrorCode::LineTooLong,
+                    format!("request line exceeds {max_line} bytes"),
+                )));
                 break;
             }
             Err(ReadError::Io) => break,
@@ -280,7 +186,7 @@ fn serve_connection(
 /// Writes every buffered event frame to the client, one `write_all`
 /// per frame. Returns false when the client is gone (any write
 /// failure), which ends the connection and drops the subscription.
-fn pump_events(service: &PolicyService, writer: &mut TcpStream, live: &WireSubscription) -> bool {
+fn pump_events(service: &PolicyService, mut writer: &TcpStream, live: &WireSubscription) -> bool {
     for frame in live.drain_frames() {
         let mut line = match serde_json::to_string(&frame) {
             Ok(line) => line,
@@ -293,66 +199,6 @@ fn pump_events(service: &PolicyService, writer: &mut TcpStream, live: &WireSubsc
         service.metrics().event_frames_total.inc();
     }
     true
-}
-
-enum ReadError {
-    /// The line exceeded the cap before a newline appeared.
-    TooLong,
-    /// The read timed out; any bytes already read stay in the caller's
-    /// accumulator, so the line resumes on the next call.
-    Timeout,
-    /// Reset, EOF mid-line, or any other transport failure.
-    Io,
-}
-
-/// Reads one `\n`-terminated line of at most `max` bytes, without ever
-/// buffering more than `max` bytes for it. Returns `None` on clean EOF
-/// at a line boundary. `line` is the caller-owned accumulator: bytes
-/// of an incomplete line survive a [`ReadError::Timeout`] in it, so a
-/// streaming pump tick never corrupts framing.
-fn read_line_limited(
-    reader: &mut BufReader<TcpStream>,
-    max: usize,
-    line: &mut Vec<u8>,
-) -> Result<Option<String>, ReadError> {
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(err)
-                if matches!(
-                    err.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Err(ReadError::Timeout)
-            }
-            Err(_) => return Err(ReadError::Io),
-        };
-        if buf.is_empty() {
-            // EOF. A clean close lands exactly between lines.
-            return if line.is_empty() {
-                Ok(None)
-            } else {
-                Err(ReadError::Io)
-            };
-        }
-        if let Some(newline) = buf.iter().position(|&b| b == b'\n') {
-            if line.len() + newline > max {
-                return Err(ReadError::TooLong);
-            }
-            line.extend_from_slice(&buf[..newline]);
-            reader.consume(newline + 1);
-            let text = String::from_utf8_lossy(line).into_owned();
-            line.clear();
-            return Ok(Some(text));
-        }
-        if line.len() + buf.len() > max {
-            return Err(ReadError::TooLong);
-        }
-        line.extend_from_slice(buf);
-        let consumed = buf.len();
-        reader.consume(consumed);
-    }
 }
 
 #[cfg(test)]
@@ -408,7 +254,7 @@ mod tests {
 
     /// A line nested far past the parser's depth bound (about 40 KB,
     /// well under the line cap) is one malformed request, not a stack
-    /// overflow: the worker answers it and the connection stays open.
+    /// overflow: the server answers it and the connection stays open.
     #[test]
     fn deeply_nested_line_is_malformed_not_fatal() {
         let server = ServeServer::serve(service_with_tenant(), "127.0.0.1:0").unwrap();
@@ -508,16 +354,30 @@ mod tests {
         server.shutdown();
     }
 
+    /// Connects to a server at its cap, retrying while the slot of a
+    /// closed connection is still being released.
+    fn connect_admitted(addr: SocketAddr) -> Client {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let mut client = Client::connect(addr).unwrap();
+            // A refused connection may also surface as a reset.
+            if let Ok(pong) = client.request_line(r#"{"op":"ping"}"#) {
+                if pong.contains("\"ok\":true") {
+                    return client;
+                }
+                assert!(pong.contains("\"busy\""), "{pong}");
+            }
+            assert!(std::time::Instant::now() < deadline, "never admitted");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
     #[test]
-    fn killed_subscriber_frees_its_worker_slot() {
-        // One worker: if the dead subscriber's worker were not
+    fn killed_subscriber_frees_its_connection_slot() {
+        // A cap of one: if the dead subscriber's connection were not
         // reclaimed, the follow-up client could never be served.
-        let service = Arc::new(PolicyService::new(crate::ServiceConfig {
-            workers: 1,
-            ..crate::ServiceConfig::default()
-        }));
-        service.create_tenant("t").unwrap();
-        let server = ServeServer::serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let service = service_with_tenant();
+        let server = ServeServer::bind(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
         let mut watcher = Client::connect(server.local_addr()).unwrap();
         let sub = watcher
             .request_line(r#"{"op":"subscribe","tenants":["t"]}"#)
@@ -526,16 +386,67 @@ mod tests {
         assert_eq!(service.active_subscriptions(), 1);
         drop(watcher); // kill the stream mid-subscription
 
-        // The worker notices EOF on its next poll tick, drops the
-        // subscription, and picks up the queued connection.
-        let mut next = Client::connect(server.local_addr()).unwrap();
-        let pong = next.request_line(r#"{"op":"ping"}"#).unwrap();
-        assert!(pong.contains("\"ok\":true"), "{pong}");
+        // The connection's thread notices EOF on its next poll tick,
+        // drops the subscription and ends, freeing the only slot.
+        let mut next = connect_admitted(server.local_addr());
         assert_eq!(service.active_subscriptions(), 0);
         let status = next
             .request_line(r#"{"op":"status","tenant":"t"}"#)
             .unwrap();
         assert!(status.contains("\"subscriptions\":0"), "{status}");
+        server.shutdown();
+    }
+
+    /// Idle clients hold only their own threads: a ping behind eight
+    /// connections that never send a byte is answered at once.
+    #[test]
+    fn silent_connections_do_not_lock_out_a_ping() {
+        let server = ServeServer::serve(service_with_tenant(), "127.0.0.1:0").unwrap();
+        let silent: Vec<TcpStream> = (0..8)
+            .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+            .collect();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let started = std::time::Instant::now();
+        let pong = client.request_line(r#"{"op":"ping"}"#).unwrap();
+        assert!(pong.contains("\"ok\":true"), "{pong}");
+        assert!(started.elapsed() < Duration::from_secs(1));
+        drop(silent);
+        server.shutdown();
+    }
+
+    /// Over the cap, a connection gets one `busy` frame and is closed;
+    /// the refusal is counted; a later connection is served once an
+    /// admitted one closes.
+    #[test]
+    fn over_cap_connection_is_answered_busy_and_closed() {
+        let service = service_with_tenant();
+        let server = ServeServer::bind(Arc::clone(&service), "127.0.0.1:0", 2).unwrap();
+        let addr = server.local_addr();
+        let mut first = connect_admitted(addr);
+        let _second = connect_admitted(addr);
+
+        let mut over = TcpStream::connect(addr).unwrap();
+        over.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let mut reply = String::new();
+        std::io::Read::read_to_string(&mut over, &mut reply).unwrap();
+        assert!(reply.contains("\"code\":\"busy\""), "{reply}");
+        assert_eq!(reply.lines().count(), 1, "one frame, then close: {reply}");
+        if grbac_core::telemetry::ENABLED {
+            assert_eq!(service.metrics().connections_rejected_total.get(), 1);
+            let metrics = first.request_line(r#"{"op":"metrics"}"#).unwrap();
+            assert!(
+                metrics.contains("grbac_serve_connections_rejected_total 1"),
+                "{metrics}"
+            );
+        }
+
+        drop(first);
+        let mut later = connect_admitted(addr);
+        let pong = later.request_line(r#"{"op":"ping"}"#).unwrap();
+        assert!(pong.contains("\"ok\":true"), "{pong}");
         server.shutdown();
     }
 

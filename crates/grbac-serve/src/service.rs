@@ -37,10 +37,6 @@ pub struct ServiceConfig {
     /// Maximum request-line length in bytes; overlong lines answer
     /// `line_too_long` and close the connection.
     pub max_line_bytes: usize,
-    /// Worker threads in the connection pool. One worker serves one
-    /// connection at a time, so size this at or above the expected
-    /// number of concurrent clients.
-    pub workers: usize,
 }
 
 impl Default for ServiceConfig {
@@ -48,7 +44,6 @@ impl Default for ServiceConfig {
         Self {
             max_tenants: 64,
             max_line_bytes: 1 << 20,
-            workers: 8,
         }
     }
 }
@@ -87,6 +82,8 @@ impl Tenant {
 pub struct ServiceMetrics {
     /// Connections accepted.
     pub connections_total: Counter,
+    /// Connections refused with `busy` at the connection cap.
+    pub connections_rejected_total: Counter,
     /// Request lines handled (ok or error).
     pub requests_total: Counter,
     /// Requests answered with an error envelope.
@@ -109,6 +106,7 @@ impl ServiceMetrics {
     fn new() -> Self {
         Self {
             connections_total: Counter::new(),
+            connections_rejected_total: Counter::new(),
             requests_total: Counter::new(),
             protocol_errors_total: Counter::new(),
             requests_by_op: KeyedCounter::new(),
@@ -123,7 +121,7 @@ impl ServiceMetrics {
 /// One connection's live wire subscription: a core
 /// [`EventSubscription`] per selected tenant bus, merged into one
 /// frame stream. Created by the `subscribe` op, held by the
-/// connection's worker, and torn down by `unsubscribe` or the
+/// connection's thread, and torn down by `unsubscribe` or the
 /// connection closing — either way the [`Drop`] impl decrements the
 /// service's active-subscription count, so a killed client can never
 /// leak a slot.
@@ -251,9 +249,9 @@ impl RequestSpans {
     }
 
     /// Opens the server span (child of `parent` when the client
-    /// propagated one) plus the dispatch-queue child, backdated by
-    /// `queue_wait_ns` so the tree shows time spent before any worker
-    /// looked at the connection.
+    /// propagated one) plus the queue-wait child, backdated by
+    /// `queue_wait_ns` so the tree shows time spent before the
+    /// connection's thread started.
     fn open(
         op: &str,
         trace_id: TraceId,
@@ -467,11 +465,11 @@ impl PolicyService {
         self.handle_line_queued(line, 0)
     }
 
-    /// [`handle_line`](Self::handle_line) with a known dispatch-queue
-    /// wait: the time between the acceptor enqueuing the connection and
-    /// a worker picking it up, charged to the connection's first
-    /// request as its `queue_wait` child span (later requests on the
-    /// connection pass 0 — they never waited in the accept queue).
+    /// [`handle_line`](Self::handle_line) with a known queue wait: the
+    /// time between the acceptor accepting the connection and its
+    /// thread starting, charged to the connection's first request as
+    /// its `queue_wait` child span (later requests on the connection
+    /// pass 0 — they never waited on accept).
     #[must_use]
     pub fn handle_line_queued(&self, line: &str, queue_wait_ns: u64) -> String {
         // Without a connection to stream to, a `subscribe` registers
@@ -1157,6 +1155,11 @@ impl PolicyService {
                 "grbac_serve_connections_total",
                 "Connections accepted by the policy service.",
                 &self.metrics.connections_total,
+            ),
+            (
+                "grbac_serve_connections_rejected_total",
+                "Connections refused with `busy` at the connection cap.",
+                &self.metrics.connections_rejected_total,
             ),
             (
                 "grbac_serve_requests_total",
